@@ -17,9 +17,7 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from .core import (
-    REJECTION_CAP,
     Domain,
-    RegionTooSmallError,
     RngState,
     SampleSet,
     SamplingError,
@@ -221,44 +219,43 @@ def curve_region_sample(region: CurveRegionSpec, n: int, rng: RngState) -> Sampl
     dom = anchors.domain
     hwf = region.half_width_fraction
     floor = hwf * dom.extent
+    per_anchor = region.candidates_per_anchor
     cands = np.empty((total, dom.dim))
-    k = 0
-    for a in anchors.points:
+    for i, a in enumerate(anchors.points):
         w = np.maximum(hwf * np.abs(a), floor)
         lo = np.maximum(dom.lower, a - w)
         hi = np.minimum(dom.upper, a + w)
-        for _ in range(region.candidates_per_anchor):
-            cands[k] = _draw_in_box(rng, lo, hi, dom)
-            k += 1
+        box = _Space(lo, hi, dom.viability)
+        cands[i * per_anchor:(i + 1) * per_anchor] = box.from_unit(
+            samplers._draw_unit_batch(rng, box, per_anchor))
     # Score in unit coordinates; keep the original candidate rows as output.
     cand_u = dom.to_unit(cands)
     scored = dom.to_unit(anchors.points) if region.include_anchors else np.empty((0, dom.dim))
     min_d2 = min_squared_dists(cand_u, scored)
-    chosen = np.zeros(total, dtype=bool)
-    picks = []
-    for step in range(n):
-        if step == 0 and not region.include_anchors:
-            idx = rng.integers(total)
-        else:
-            scores = min_d2.copy()
-            scores[chosen] = -np.inf
-            idx = int(np.argmax(scores))
-        chosen[idx] = True
-        picks.append(idx)
-        min_d2 = np.minimum(min_d2, ((cand_u - cand_u[idx]) ** 2).sum(axis=1))
+    first = None if region.include_anchors else rng.integers(total)
+    picks = _greedy_picks(cand_u, min_d2, n, first)
     stacked = np.vstack([anchors.points, cands[picks]])
     return SampleSet(dom, stacked, frozen_count=len(anchors))
 
 
-def _draw_in_box(rng: RngState, lo: np.ndarray, hi: np.ndarray, dom: Domain) -> np.ndarray:
-    span = hi - lo
-    if dom.viability is None:
-        return lo + rng.random(lo.size) * span
-    for _ in range(REJECTION_CAP):
-        p = lo + rng.random(lo.size) * span
-        if dom.viability(p):
-            return p
-    raise RegionTooSmallError("viability rejected every candidate draw in an anchor box")
+def _greedy_picks(x: np.ndarray, min_d2: np.ndarray, count: int,
+                  first: Optional[int]) -> list:
+    """Indices of count rows of x picked greedily to maximize the minimum
+    squared distance, starting from min_d2 (updated in place) and, when
+    given, from row first.  A picked row's min_d2 is set to -inf, which can
+    never win an argmax."""
+    work = np.empty_like(x)
+    row = np.empty(x.shape[0])
+    picks = []
+    for step in range(count):
+        idx = first if step == 0 and first is not None else int(np.argmax(min_d2))
+        picks.append(idx)
+        # The same arithmetic as ((x - x[idx]) ** 2).sum(axis=1), into buffers.
+        np.subtract(x, x[idx], out=work)
+        np.square(work, out=work)
+        np.minimum(min_d2, work.sum(axis=1, out=row), out=min_d2)
+        min_d2[idx] = -np.inf
+    return picks
 
 
 def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
@@ -329,17 +326,8 @@ def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
             continue
         base = np.asarray(winners) if winners else np.empty((0, dim))
         min_d2 = min_squared_dists(seg_arr, base)
-        chosen = np.zeros(len(seg), dtype=bool)
-        for _ in range(quota):
-            if not winners:
-                idx = rng.integers(len(seg))
-            else:
-                scores = min_d2.copy()
-                scores[chosen] = -np.inf
-                idx = int(np.argmax(scores))
-            chosen[idx] = True
-            winners.append(seg_arr[idx])
-            min_d2 = np.minimum(min_d2, ((seg_arr - seg_arr[idx]) ** 2).sum(axis=1))
+        first = None if winners else rng.integers(len(seg))
+        winners.extend(seg_arr[_greedy_picks(seg_arr, min_d2, quota, first)])
 
     if seen < n_subset:
         raise ValueError(f"record source yields {seen} records, fewer than the subset size {n_subset}")

@@ -40,9 +40,13 @@ def format_row(row) -> str:
 
 
 def write_samples(points: np.ndarray, out) -> None:
-    out.write(",".join(f"x{j}" for j in range(points.shape[1])) + "\n")
-    for row in points:
-        out.write(format_row(row) + "\n")
+    dim = points.shape[1]
+    out.write(",".join(f"x{j}" for j in range(dim)) + "\n")
+    # "%.17g" % v formats a float exactly as format_row's f"{v:.17g}" does.
+    # Rows become Python floats a block at a time, which bounds the memory.
+    row_format = ",".join(["%.17g"] * dim) + "\n"
+    for start in range(0, points.shape[0], 1024):
+        out.writelines(row_format % tuple(row) for row in points[start:start + 1024].tolist())
 
 
 def _parse_data_line(line: str, lineno: int, dim) -> np.ndarray:

@@ -408,6 +408,10 @@ def latinize(sample_set: SampleSet, rng: RngState) -> SampleSet:
 
     Unmoved coordinates are preserved bit-identically, and the original
     sample order is kept (points are addressed by index, never reordered).
+    Replacement values consume the stream as one ``random()`` value per
+    moved coordinate, dimension by dimension and, within a dimension, in
+    ascending rank order (equal values ranked by sample index); the output
+    and the stream position after the call are fixed by that order.
     """
     n = len(sample_set)
     if n < 1:
@@ -415,16 +419,18 @@ def latinize(sample_set: SampleSet, rng: RngState) -> SampleSet:
     dom = sample_set.domain
     u = dom.to_unit(sample_set.points)
     new_pts = sample_set.points.copy()
-    for j in range(dom.dim):
-        order = np.argsort(u[:, j], kind="stable")
-        for rank, idx in enumerate(np.asarray(order)):
-            v = u[idx, j]
-            lo = rank / n
-            hi = (rank + 1.0) / n
-            if lo <= v < hi or (rank == n - 1 and v == 1.0):
-                continue
-            nv = float(_place_in_bin(rank, rng.random(), n))
-            new_pts[idx, j] = dom.lower[j] + nv * (dom.upper[j] - dom.lower[j])
+    ranks = np.arange(n)
+    lo = (ranks / n)[:, None]
+    hi = ((ranks + 1.0) / n)[:, None]
+    order = np.argsort(u, axis=0, kind="stable")
+    v = np.take_along_axis(u, order, axis=0)
+    inside = (lo <= v) & (v < hi)
+    inside[-1] |= v[-1] == 1.0  # the last bin is closed at 1
+    # Dimension-major, ascending rank: the documented draw order.  One draw
+    # of k values consumes the stream exactly like k scalar draws.
+    dims, moved = np.nonzero(~inside.T)
+    nv = _place_in_bin(moved, rng.random(moved.size), n)
+    new_pts[order[moved, dims], dims] = dom.lower[dims] + nv * (dom.upper[dims] - dom.lower[dims])
     return SampleSet(dom, new_pts)
 
 

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from spacefill.core import Domain, RngState
+from spacefill.core import Domain, RngState, SampleSet
+from spacefill.samplers import _place_in_bin
 
 
 def brute_nn_distances(points):
@@ -71,6 +72,28 @@ def brute_cl2(points):
             term3 += prod
     term3 /= n * n
     return math.sqrt(term1 - term2 + term3)
+
+
+def brute_latinize(sample_set, rng):
+    """Per-coordinate Latinization loop: one scalar draw per value that sits
+    outside its rank's bin, in ascending rank order per dimension."""
+    n = len(sample_set)
+    if n < 1:
+        raise ValueError("latinize requires at least 1 point")
+    dom = sample_set.domain
+    u = dom.to_unit(sample_set.points)
+    new_pts = sample_set.points.copy()
+    for j in range(dom.dim):
+        order = np.argsort(u[:, j], kind="stable")
+        for rank, idx in enumerate(np.asarray(order)):
+            v = u[idx, j]
+            lo = rank / n
+            hi = (rank + 1.0) / n
+            if lo <= v < hi or (rank == n - 1 and v == 1.0):
+                continue
+            nv = float(_place_in_bin(rank, rng.random(), n))
+            new_pts[idx, j] = dom.lower[j] + nv * (dom.upper[j] - dom.lower[j])
+    return SampleSet(dom, new_pts)
 
 
 def assert_latin(points, n=None):

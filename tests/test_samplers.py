@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 import spacefill as sf
@@ -16,7 +17,30 @@ from spacefill.samplers import (
     generate,
 )
 
-from conftest import assert_latin
+from conftest import assert_latin, brute_latinize
+
+
+@st.composite
+def latinize_inputs(draw):
+    """A random box (or the unit cube) holding n <= 300 points in d <= 8
+    dimensions, with shares of coordinates placed exactly on bin edges and at
+    the upper bound, and rows duplicated."""
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 8))
+    rs = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dom = Domain.unit(d)
+    else:
+        lower = rs.uniform(-5.0, 5.0, d)
+        dom = Domain(lower, lower + rs.uniform(0.01, 10.0, d))
+    u = rs.random((n, d))
+    on_edge = rs.random((n, d)) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    u[on_edge] = rs.integers(0, n + 1, size=int(on_edge.sum())) / n
+    u[rs.random((n, d)) < draw(st.sampled_from([0.0, 0.05]))] = 1.0
+    if draw(st.booleans()):
+        u = u[rs.integers(0, draw(st.integers(1, n)), size=n)]
+    pts = np.clip(dom.lower + u * dom.extent, dom.lower, dom.upper)
+    return SampleSet(dom, pts)
 
 
 class TestRandom:
@@ -158,6 +182,15 @@ class TestLatinize:
                                   np.argsort(out.points[:, j], kind="stable"))
         moved = out.points != pts
         assert np.array_equal(out.points[~moved], pts[~moved])
+
+    @settings(max_examples=150, deadline=None)
+    @given(latinize_inputs(), st.integers(0, 2**63 - 1))
+    def test_matches_loop_oracle_bitwise(self, sample_set, seed):
+        rng, ref_rng = RngState(seed), RngState(seed)
+        out = sf.latinize(sample_set, rng)
+        ref = brute_latinize(sample_set, ref_rng)
+        assert out.points.tobytes() == ref.points.tobytes()
+        assert rng.random() == ref_rng.random()  # same stream position
 
 
 class TestCvt:
