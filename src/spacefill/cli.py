@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -59,42 +60,42 @@ def _parse_data_line(line: str, lineno: int, dim) -> np.ndarray:
         raise CliError(f"line {lineno}: non-numeric cell") from None
 
 
-def read_samples(path, with_linenos: bool = False):
-    """Load a whole sample CSV (header row optional) as an (n, d) array."""
-    rows = []
-    linenos = []
-    dim = None
-    for lineno, line in _text_lines(path):
-        if lineno == 1 and not _is_numeric_row(line):
-            continue  # header
-        row = _parse_data_line(line, lineno, dim)
-        dim = row.size
-        rows.append(row)
-        linenos.append(lineno)
-    if not rows:
-        raise CliError(f"{path}: no data rows")
-    pts = np.vstack(rows)
-    return (pts, linenos) if with_linenos else pts
+def _parse_lines(lines: list, linenos: list, dim) -> np.ndarray:
+    """Data lines as one (len(lines), d) array; d is dim or, when dim is None,
+    the first line's column count.
 
-
-def _text_lines(path):
-    if path == "-":
-        fh = sys.stdin
-        close = False
-    else:
+    All cells go through one float() pass.  A ragged line or a cell float()
+    rejects falls back to _parse_data_line line by line, which raises the
+    error of the first bad line with its line number.
+    """
+    if dim is None:
+        dim = lines[0].count(",") + 1
+    if all(line.count(",") == dim - 1 for line in lines):
         try:
-            fh = open(path, "r", newline="")
-        except OSError as err:
-            raise CliError(str(err)) from None
-        close = True
+            cells = list(map(float, ",".join(lines).split(",")))
+        except ValueError:
+            pass
+        else:
+            return np.array(cells).reshape(len(lines), dim)
+    return np.array([_parse_data_line(line, n, dim) for line, n in zip(lines, linenos)])
+
+
+def read_samples(path, with_linenos: bool = False):
+    """Load a whole sample CSV ("-" reads stdin; header row optional) as an
+    (n, d) array."""
+    reader = _CsvReader(path)
+    blocks = []
+    linenos = []
     try:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if line:
-                yield lineno, line
+        while (block := reader.read_block()) is not None:
+            blocks.append(block[0])
+            linenos.extend(block[1])
     finally:
-        if close:
-            fh.close()
+        reader.close()
+    if not blocks:
+        raise CliError(f"{path}: no data rows")
+    pts = np.concatenate(blocks)
+    return (pts, linenos) if with_linenos else pts
 
 
 def _is_numeric_row(line: str) -> bool:
@@ -105,60 +106,103 @@ def _is_numeric_row(line: str) -> bool:
         return False
 
 
-class CsvRecordStream:
-    """Streaming CSV reader for the subset command.
+_BLOCK_LINES = 4096
 
-    Yields one record per data row, reading the file exactly once, and keeps
+
+class _CsvReader:
+    """Sample CSV input ("-" is stdin), parsed _BLOCK_LINES lines at a time.
+
+    The first line is a header when one of its cells is not a number.
+    Blank lines are skipped, and line numbers count every line.
+    """
+
+    def __init__(self, path: str):
+        if path == "-":
+            self._fh, self._owned = sys.stdin, False
+        else:
+            try:
+                self._fh = open(path, "r", newline="")
+            except OSError as err:
+                raise CliError(str(err)) from None
+            self._owned = True
+        self.header_bytes = 0
+        self._dim = None
+        self._lineno = 0
+        first = self._fh.readline()
+        self._head = [first] if first else []
+        if first and not _is_numeric_row(first.rstrip("\r\n")):
+            self.header_bytes = len(first.encode())
+            self._head = []
+            self._lineno = 1
+
+    def read_block(self):
+        """(rows, line numbers, byte sizes with line ends) of the next
+        block's data lines, or None at the end of the input."""
+        while self._fh is not None:
+            raws = self._head + list(islice(self._fh, _BLOCK_LINES - len(self._head)))
+            self._head = []
+            if not raws:
+                self.close()
+                break
+            lines, linenos, sizes = [], [], []
+            for lineno, raw in enumerate(raws, start=self._lineno + 1):
+                line = raw.rstrip("\r\n")
+                if line:
+                    lines.append(line)
+                    linenos.append(lineno)
+                    sizes.append(len(raw.encode()))
+            self._lineno += len(raws)
+            if lines:
+                rows = _parse_lines(lines, linenos, self._dim)
+                self._dim = rows.shape[1]
+                return rows, linenos, sizes
+        return None
+
+    def close(self) -> None:
+        if self._owned and self._fh is not None:
+            self._fh.close()
+        self._fh = None
+
+
+class CsvRecordStream(_CsvReader):
+    """Streaming CSV reader for the subset command ("-" reads stdin).
+
+    Yields one record per data row, reading the input exactly once, and keeps
     a running estimate of the total record count from the file size and the
-    bytes consumed so far.
+    bytes consumed so far.  Rows are parsed a block at a time, but a row's
+    bytes count toward the estimate only when the row is served, so
+    estimate_total() equals that of line-by-line reading after every record.
+    Stdin has size 0, since its length is unknown.
     """
 
     def __init__(self, path: str):
         self.path = path
         try:
-            self.size = os.path.getsize(path)
-            self._fh = open(path, "r", newline="")
+            self.size = 0 if path == "-" else os.path.getsize(path)
         except OSError as err:
             raise CliError(str(err)) from None
+        super().__init__(path)
         self.records = 0
         self.data_bytes = 0
-        self.header_bytes = 0
-        self._dim = None
-        self._lineno = 0
-        self._done = False
-        first = self._fh.readline()
-        self._pending = None
-        if first:
-            self._lineno = 1
-            if _is_numeric_row(first.rstrip("\r\n")):
-                self._pending = first
-            else:
-                self.header_bytes = len(first.encode())
+        self._rows = None
+        self._sizes = []
+        self._at = 0
 
     def __iter__(self):
         return self
 
     def __next__(self) -> np.ndarray:
-        if self._done:
-            raise StopIteration
-        if self._pending is not None:
-            raw, self._pending = self._pending, None
-        else:
-            raw = self._fh.readline()
-            if raw:
-                self._lineno += 1
-        if not raw:
-            self._done = True
-            self._fh.close()
-            raise StopIteration
-        line = raw.rstrip("\r\n")
-        if not line:
-            return self.__next__()
-        row = _parse_data_line(line, self._lineno, self._dim)
-        self._dim = row.size
+        if self._at == len(self._sizes):
+            block = self.read_block()
+            if block is None:
+                raise StopIteration
+            self._rows, _, self._sizes = block
+            self._at = 0
+        i = self._at
+        self._at += 1
         self.records += 1
-        self.data_bytes += len(raw.encode())
-        return row
+        self.data_bytes += self._sizes[i]
+        return self._rows[i]
 
     def estimate_total(self) -> int:
         if self.records == 0 or self.data_bytes == 0:
@@ -340,16 +384,8 @@ def cmd_subset(args) -> int:
     config = adapt.StreamConfig(segment_size=args.segment, subset_size=args.n)
     if args.infile == "-" and args.total is None:
         raise CliError("subset from stdin requires --total (stream size unknown)")
-    if args.infile == "-":
-        stream = (
-            _parse_data_line(line, lineno, None)
-            for lineno, line in _text_lines("-")
-            if not (lineno == 1 and not _is_numeric_row(line))
-        )
-        total = int(args.total)
-    else:
-        stream = CsvRecordStream(args.infile)
-        total = int(args.total) if args.total is not None else stream.estimate_total
+    stream = CsvRecordStream(args.infile)
+    total = int(args.total) if args.total is not None else stream.estimate_total
     result = adapt.stream_subset(stream, config, RngState(seed), total_records=total)
     _emit_samples(result.points, args)
     return 0

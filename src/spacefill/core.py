@@ -62,7 +62,10 @@ class Domain:
         Box bounds; ``lower[k] < upper[k]`` is required in every dimension.
     viability : callable, optional
         Predicate ``point -> bool`` defining an allowed (possibly
-        non-rectangular) region inside the box.
+        non-rectangular) region inside the box.  Samplers call it once per
+        candidate drawn inside the box, in draw order; a rejection draw
+        stops at the last candidate it keeps, so none past it is tested.  A
+        ``SampleSet`` calls it once per point to validate.
     density : callable, optional
         Nonnegative weight ``point -> float``; requires ``density_max``.
     density_max : float, optional
@@ -218,6 +221,16 @@ class RngState:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+    def _peek(self, shape) -> np.ndarray:
+        """The values ``random(shape)`` would return, leaving the stream where
+        it was.  The whole bit-generator state is restored, including PCG64's
+        buffered 32-bit half, which ``advance()`` would clear."""
+        state = self._gen.bit_generator.state
+        try:
+            return self._gen.random(shape)
+        finally:
+            self._gen.bit_generator.state = state
 
     def child(self, tag: str) -> "RngState":
         """Independent stream keyed by (original seed, tag)."""

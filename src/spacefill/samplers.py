@@ -145,20 +145,24 @@ class FpConfig:
 # ---------------------------------------------------------------------------
 
 class _Space:
-    """Box + optional candidate filter + optional density, in one bundle.
+    """Box + optional candidate filter + optional excluded box + optional
+    density, in one bundle.
 
-    Public samplers build it from a Domain; adaptation operations may build
-    custom ones (e.g. domain expansion restricts candidates to a shell).
+    Public samplers build it from a Domain; domain expansion excludes the old
+    box, so that candidates come only from the added shell.
     """
 
-    __slots__ = ("lower", "upper", "extent", "dim", "filter", "density", "density_max")
+    __slots__ = ("lower", "upper", "extent", "dim", "filter", "exclude", "density",
+                 "density_max")
 
-    def __init__(self, lower, upper, filter=None, density=None, density_max=None):
+    def __init__(self, lower, upper, filter=None, density=None, density_max=None,
+                 exclude: Optional[Domain] = None):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         self.extent = self.upper - self.lower
         self.dim = self.lower.size
         self.filter = filter
+        self.exclude = exclude
         self.density = density
         self.density_max = density_max
 
@@ -182,37 +186,72 @@ class _Space:
 
 
 def _draw_unit(rng: RngState, space: _Space) -> np.ndarray:
-    """One unit-cube point, rejection-filtered through the space's filter."""
-    if space.filter is None:
-        return rng.random(space.dim)
-    for _ in range(REJECTION_CAP):
-        u = rng.random(space.dim)
-        if space.filter(space.from_unit(u)):
-            return u
-    raise RegionTooSmallError(
-        f"viability predicate rejected {REJECTION_CAP} consecutive draws; region too small"
-    )
+    """One unit-cube point, rejection-filtered like _draw_unit_batch."""
+    return _draw_unit_batch(rng, space, 1)[0]
 
 
 def _draw_unit_batch(rng: RngState, space: _Space, count: int) -> np.ndarray:
-    """(count, d) unit points.  Unfiltered spaces take one batched draw,
-    which consumes the stream identically to per-point draws."""
-    if space.filter is None:
-        return rng.random((count, space.dim))
-    return np.array([_draw_unit(rng, space) for _ in range(count)])
+    """(count, d) unit points drawn uniformly, keeping those that the space's
+    filter accepts and that lie outside its excluded box.
+
+    Stream contract: a block of candidate rows is peeked, which leaves the
+    stream where it was.  The filter is called on each row in draw order
+    until count rows are kept, and then exactly the rows examined are
+    consumed with one draw.  So the filter gets the same calls, on the same
+    points and in the same order, as with one draw per candidate, and never
+    a call past the last row kept; the output and the stream position are
+    those of per-candidate draws.  An unconstrained space takes one batched
+    draw, which consumes the stream identically.  REJECTION_CAP consecutive
+    rejections raise RegionTooSmallError.
+    """
+    d = space.dim
+    if space.filter is None and space.exclude is None:
+        return rng.random((count, d))
+    out = np.empty((count, d))
+    kept = misses = 0
+    while kept < count:
+        # Twice the rows still needed fills most requests in one block at
+        # acceptance rates above one half; the cap bounds a block's memory.
+        u = rng._peek((min(2 * (count - kept) + 64, 1 << 14), d))
+        x = space.from_unit(u)
+        if space.exclude is None:
+            outside = [True] * len(x)
+        else:
+            outside = (~space.exclude.contains(x)).tolist()
+        hits = []
+        for i in range(len(x)):
+            # The filter sees every drawn row, inside the excluded box too.
+            if (space.filter is None or space.filter(x[i])) and outside[i]:
+                hits.append(i)
+                misses = 0
+                if kept + len(hits) == count:
+                    break
+            else:
+                misses += 1
+                if misses == REJECTION_CAP:
+                    rng.random((i + 1, d))
+                    raise RegionTooSmallError(f"viability predicate rejected {REJECTION_CAP} "
+                                              "consecutive draws; region too small")
+        out[kept:kept + len(hits)] = rng.random((i + 1, d))[hits]
+        kept += len(hits)
+    return out
 
 
 def _draw_unit_density(rng: RngState, space: _Space, count: int) -> np.ndarray:
     """(count, d) unit points distributed proportionally to the density.
 
-    Per point: draw coordinates, apply the filter, then accept with
-    probability density/density_max.  A point costs d+1 uniforms per attempt.
+    Per point: draw coordinates, apply the filter and the excluded box, then
+    accept with probability density/density_max.  A point costs d+1 uniforms
+    per attempt.
     """
     out = np.empty((count, space.dim))
     for i in range(count):
         for _ in range(REJECTION_CAP):
             u = rng.random(space.dim)
-            if space.filter is not None and not space.filter(space.from_unit(u)):
+            x = space.from_unit(u)
+            if space.filter is not None and not space.filter(x):
+                continue
+            if space.exclude is not None and space.exclude.contains(x)[0]:
                 continue
             t = rng.random()
             if t * space.density_max <= space.density_at_unit(u):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spacefill.core import Domain, RngState, SampleSet
+from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet
 from spacefill.samplers import _place_in_bin
 
 
@@ -94,6 +94,27 @@ def brute_latinize(sample_set, rng):
             nv = float(_place_in_bin(rank, rng.random(), n))
             new_pts[idx, j] = dom.lower[j] + nv * (dom.upper[j] - dom.lower[j])
     return SampleSet(dom, new_pts)
+
+
+def brute_draw_unit_batch(rng, space, count, cap):
+    """Per-candidate rejection loop: one d-value draw per candidate, kept when
+    the filter accepts it and it lies outside the excluded box (the filter
+    is called first, on every candidate); cap consecutive rejections raise."""
+    out = []
+    for _ in range(count):
+        for _ in range(cap):
+            u = rng.random(space.dim)
+            x = space.lower + u * space.extent
+            if space.filter is not None and not space.filter(x):
+                continue
+            ex = space.exclude
+            if ex is not None and np.all(x >= ex.lower) and np.all(x <= ex.upper):
+                continue
+            out.append(u)
+            break
+        else:
+            raise RegionTooSmallError("cap reached")
+    return np.array(out).reshape(count, space.dim)
 
 
 def assert_latin(points, n=None):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 import spacefill as sf
-from spacefill.adapt import CurveRegionSpec, StreamConfig
+from spacefill.adapt import CurveRegionSpec, StreamConfig, _greedy_picks
 from spacefill.core import (
     Domain,
     RegionTooSmallError,
@@ -329,3 +330,27 @@ class TestStreamSubset:
         records = [[0.1, 0.2], [0.3, 0.4, 0.5]]
         with pytest.raises(ValueError):
             sf.stream_subset(records, StreamConfig(segment_size=10, subset_size=1), RngState(98))
+
+
+class TestGreedyPicks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 60), st.data())
+    def test_matches_row_sum_bitwise(self, d, n, data):
+        """Picks and final distances equal those of the row-sum loop, bit for
+        bit, in every dimension (column adds below 8, row sums above)."""
+        rs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rs.random((n, d)) * 10.0 ** rs.integers(-3, 4, size=(1, d))
+        base = rs.random((data.draw(st.integers(0, 5)), d))
+        count = data.draw(st.integers(1, n))
+        first = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        min_d2 = cdist(x, base, "sqeuclidean").min(axis=1) if len(base) else np.full(n, np.inf)
+        ref_d2 = min_d2.copy()
+        picks = _greedy_picks(x, min_d2, count, first)
+        ref = []
+        for step in range(count):
+            idx = first if step == 0 and first is not None else int(np.argmax(ref_d2))
+            ref.append(idx)
+            ref_d2 = np.minimum(ref_d2, ((x - x[idx]) ** 2).sum(axis=1))
+            ref_d2[idx] = -np.inf
+        assert picks == ref
+        assert min_d2.tobytes() == ref_d2.tobytes()

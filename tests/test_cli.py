@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -249,6 +250,119 @@ class TestSubset:
         assert run("subset", "--in", str(big_csv), "--n", "40", "--segment", "512",
                    "--seed", "5", "--total", "3000", "--out", str(out)) == 0
         assert cli.read_samples(str(out)).shape == (40, 2)
+
+
+    def test_ragged_record_message_file_and_stdin(self, tmp_path, capsys, monkeypatch):
+        text = "x0,x1\n0.1,0.2\n0.3,0.4\n0.5\n0.6,0.7\n"
+        f = tmp_path / "ragged.csv"
+        f.write_text(text)
+        want = "spacefill: line 4: expected 2 columns, got 1\n"
+        code, _, err = run_out(capsys, "subset", "--in", str(f), "--n", "2",
+                               "--segment", "2", "--seed", "1")
+        assert (code, err) == (2, want)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run_out(capsys, "subset", "--in", "-", "--n", "2",
+                               "--segment", "2", "--total", "4", "--seed", "1")
+        assert (code, err) == (2, want)
+
+    def test_stdin_matches_file(self, big_csv, tmp_path, monkeypatch):
+        argv = ["subset", "--n", "30", "--segment", "400", "--total", "3000", "--seed", "2"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(*argv, "--in", str(big_csv), "--out", str(a)) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(big_csv.read_text()))
+        assert run(*argv, "--in", "-", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_records(path):
+    """Line-by-line reading: data rows, their line numbers, and the running
+    (records, data_bytes) after each row.  The first line is a header when
+    some cell of it is not a number; blank lines are skipped uncounted."""
+    rows, linenos, counts = [], [], []
+    records = data_bytes = 0
+    with open(path, newline="") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\r\n")
+            if lineno == 1 and not cli._is_numeric_row(line):
+                continue
+            if not line:
+                continue
+            rows.append([float(c) for c in line.split(",")])
+            linenos.append(lineno)
+            records += 1
+            data_bytes += len(raw.encode())
+            counts.append((records, data_bytes))
+    return np.array(rows), linenos, counts
+
+
+def _reference_estimate(size, header_bytes, records, data_bytes):
+    data_total = max(size - header_bytes, data_bytes)
+    return max(records, round(records * data_total / data_bytes))
+
+
+class TestCsvParsing:
+    """read_samples and CsvRecordStream against a line-by-line reference,
+    on files that cross the parser's block boundary."""
+
+    def _write(self, path, n_rows, *, header=True, crlf=False, blank_every=0):
+        rs = np.random.default_rng(n_rows)
+        end = "\r\n" if crlf else "\n"
+        lines = ["x0,x1,x2"] if header else []
+        for i, row in enumerate(rs.random((n_rows, 3))):
+            lines.append(cli.format_row(row))
+            if blank_every and i % blank_every == 0:
+                lines.append("")
+        path.write_bytes((end.join(lines) + end).encode())
+        return str(path)
+
+    @pytest.mark.parametrize("header", [True, False])
+    @pytest.mark.parametrize("crlf", [True, False])
+    @pytest.mark.parametrize("blank_every", [0, 7])
+    def test_matches_line_by_line_reference(self, tmp_path, header, crlf, blank_every):
+        path = self._write(tmp_path / "r.csv", 9000, header=header, crlf=crlf,
+                           blank_every=blank_every)
+        want, want_linenos, counts = _reference_records(path)
+        pts, linenos = cli.read_samples(path, with_linenos=True)
+        assert np.array_equal(pts, want) and linenos == want_linenos
+        stream = cli.CsvRecordStream(path)
+        header_bytes = len(b"x0,x1,x2\r\n" if crlf else b"x0,x1,x2\n") if header else 0
+        assert stream.header_bytes == header_bytes
+        assert stream.estimate_total() == 1
+        served = []
+        for (records, data_bytes), row in zip(counts, stream):
+            served.append(row)
+            assert (stream.records, stream.data_bytes) == (records, data_bytes)
+            assert stream.estimate_total() == _reference_estimate(
+                stream.size, header_bytes, records, data_bytes)
+        assert next(stream, None) is None and next(stream, None) is None
+        assert np.array_equal(np.array(served), want)
+        assert stream.records == len(want)
+
+    def test_cells_python_float_accepts(self, tmp_path):
+        f = tmp_path / "cells.csv"
+        f.write_text("x0,x1,x2\n 0.5,0.25 ,+1\n.5,5.,1E-2\n1_0,-0.0,\t3\n")
+        want = np.array([[0.5, 0.25, 1.0], [0.5, 5.0, 0.01], [10.0, -0.0, 3.0]])
+        got = cli.read_samples(str(f))
+        assert np.array_equal(got, want) and np.signbit(got[2, 1])
+        assert np.array_equal(np.array(list(cli.CsvRecordStream(str(f)))), want)
+
+    @pytest.mark.parametrize("lineno", [4096, 4097])
+    @pytest.mark.parametrize("bad, message", [
+        ("0.5", "expected 2 columns, got 1"),
+        ("0.5,abc", "non-numeric cell"),
+    ])
+    def test_bad_line_at_block_boundary(self, tmp_path, lineno, bad, message):
+        lines = ["x0,x1"] + ["0.25,0.75"] * 5000
+        lines[lineno - 1] = bad
+        f = tmp_path / "bad.csv"
+        f.write_text("\n".join(lines) + "\n")
+        want = f"line {lineno}: {message}"
+        with pytest.raises(cli.CliError) as err:
+            cli.read_samples(str(f))
+        assert str(err.value) == want
+        with pytest.raises(cli.CliError) as err:
+            list(cli.CsvRecordStream(str(f)))
+        assert str(err.value) == want
 
 
 class TestExpand:

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 import spacefill as sf
-from spacefill.core import Domain, RngState, SampleSet
+from spacefill import samplers
+from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet
 from spacefill.samplers import (
     BinPlacement,
     CvtConfig,
@@ -14,10 +15,12 @@ from spacefill.samplers import (
     GridMode,
     LhsConfig,
     PoissonConfig,
+    _draw_unit_batch,
+    _Space,
     generate,
 )
 
-from conftest import assert_latin, brute_latinize
+from conftest import assert_latin, brute_draw_unit_batch, brute_latinize
 
 
 @st.composite
@@ -74,6 +77,62 @@ class TestRandom:
                 sf.random_sampling(d, 1, RngState(3))
         finally:
             mod.REJECTION_CAP = old
+
+
+class RecordingFilter:
+    """Accepts a point when its first coordinate is below a threshold and
+    keeps a copy of every point it is called on."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+        self.seen = []
+
+    def __call__(self, p):
+        self.seen.append(np.array(p))
+        return p[0] < self.threshold
+
+
+class TestDrawUnitBatch:
+    """Block draws against the per-candidate loop they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 300), st.sampled_from([None, 0.03, 0.5, 1.1]),
+           st.booleans(), st.integers(1, 40), st.integers(0, 2**63 - 1))
+    def test_matches_per_candidate_loop(self, d, count, threshold, exclude, cap, seed):
+        lower, upper = np.full(d, -1.0), np.full(d, 2.0)
+        old_box = Domain(np.zeros(d), np.full(d, 1.5)) if exclude else None
+        spaces = [_Space(lower, upper, None if threshold is None else RecordingFilter(threshold),
+                         exclude=old_box) for _ in range(2)]
+        rng, ref_rng = RngState(seed), RngState(seed)
+        old_cap, samplers.REJECTION_CAP = samplers.REJECTION_CAP, cap
+        try:
+            try:
+                out = _draw_unit_batch(rng, spaces[0], count)
+            except RegionTooSmallError:
+                out = None
+        finally:
+            samplers.REJECTION_CAP = old_cap
+        try:
+            ref = brute_draw_unit_batch(ref_rng, spaces[1], count, cap)
+        except RegionTooSmallError:
+            ref = None
+        if ref is None:
+            assert out is None
+        else:
+            assert out.tobytes() == ref.tobytes()
+        if threshold is not None:  # the same calls, on the same points, in order
+            assert np.array_equal(np.array(spaces[0].filter.seen), np.array(spaces[1].filter.seen))
+        assert rng.random() == ref_rng.random()
+        assert rng.integers(1000) == ref_rng.integers(1000)
+
+    def test_peek_leaves_the_stream_in_place(self):
+        rng, ref = RngState(5), RngState(5)
+        rng.integers(7)  # leaves PCG64 holding a buffered 32-bit half
+        ref.integers(7)
+        peeked = rng._peek((4, 3))
+        assert np.array_equal(peeked, rng.random((4, 3)))
+        ref.random((4, 3))
+        assert rng.integers(1 << 20) == ref.integers(1 << 20)
 
 
 class TestGrid:
