@@ -10,7 +10,6 @@ from .core import (
     derive_seed,
     min_pair,
     nearest_neighbor_distances,
-    rng_uniform,
     scale_from_unit,
     scale_to_unit,
 )

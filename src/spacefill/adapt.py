@@ -24,7 +24,7 @@ from .core import (
     min_squared_dists,
 )
 from . import samplers
-from .samplers import INCREMENTAL_ALGORITHMS, _Space
+from .samplers import INCREMENTAL_ALGORITHMS
 
 __all__ = [
     "CurveRegionSpec",
@@ -48,7 +48,8 @@ class CurveRegionSpec:
     Each anchor gets a box whose per-dimension half-width is
     ``half_width_fraction`` of the anchor's coordinate magnitude, floored at
     the same fraction of the dimension's range (so boxes never degenerate
-    near zero) and clipped to the domain.
+    near zero) and clipped to the domain.  A fraction so small that a box
+    collapses below float resolution raises ValueError.
     """
 
     anchors: SampleSet
@@ -115,9 +116,8 @@ def rejection_sample_density(domain: Domain, count: int, rng: RngState) -> Sampl
         raise ValueError("rejection_sample_density requires a domain density")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    space = _Space.of(domain)
-    unit = samplers._draw_unit_density(rng, space, count)
-    return SampleSet(domain, space.from_unit(unit))
+    unit = samplers._draw_unit_density(rng, domain, count)
+    return SampleSet(domain, domain.from_unit(unit))
 
 
 def incremental_add(existing: SampleSet, m: int, algorithm: str,
@@ -188,12 +188,9 @@ def expand_domain(existing: SampleSet, new_domain: Domain, m: int, algorithm: st
     child = rng.child(
         f"expand-domain:{m}:{new_domain.lower.tolist()}:{new_domain.upper.tolist()}"
     )
-    space = _Space(new_domain.lower, new_domain.upper, new_domain.viability,
-                   new_domain.density, new_domain.density_max, exclude=old)
-    exist_u = samplers._existing_unit(space, existing)
-    new_unit = samplers._new_points(algorithm, child, space, m, params, exist_u)
-    stacked = np.vstack([existing.points, space.from_unit(new_unit)])
-    return SampleSet(new_domain, stacked, frozen_count=len(existing))
+    exist_u = samplers._existing_unit(new_domain, existing)
+    new_unit = samplers._new_points(algorithm, child, new_domain, m, params, exist_u, exclude=old)
+    return samplers._assemble(new_domain, existing, new_unit)
 
 
 def curve_region_sample(region: CurveRegionSpec, n: int, rng: RngState) -> SampleSet:
@@ -218,7 +215,7 @@ def curve_region_sample(region: CurveRegionSpec, n: int, rng: RngState) -> Sampl
         w = np.maximum(hwf * np.abs(a), floor)
         lo = np.maximum(dom.lower, a - w)
         hi = np.minimum(dom.upper, a + w)
-        box = _Space(lo, hi, dom.viability)
+        box = Domain(lo, hi, dom.viability)
         cands[i * per_anchor:(i + 1) * per_anchor] = box.from_unit(
             samplers._draw_unit_batch(rng, box, per_anchor))
     # Score in unit coordinates; keep the original candidate rows as output.

@@ -128,7 +128,11 @@ class _CsvReader:
         self.header_bytes = 0
         self._dim = None
         self._lineno = 0
-        first = self._fh.readline()
+        try:
+            first = self._fh.readline()
+        except BaseException:  # e.g. UnicodeDecodeError on a non-UTF-8 file
+            self.close()
+            raise
         self._head = [first] if first else []
         if first and not _is_numeric_row(first.rstrip("\r\n")):
             self.header_bytes = len(first.encode())
@@ -270,10 +274,7 @@ def _build_domain(dim: int, lower, upper, density_name, viability_name) -> Domai
     if density_name:
         density, density_max = presets.density_by_name(density_name)
     viability = presets.viability_by_name(viability_name) if viability_name else None
-    try:
-        return Domain(lo, hi, viability=viability, density=density, density_max=density_max)
-    except ValueError as err:
-        raise CliError(str(err)) from None
+    return Domain(lo, hi, viability=viability, density=density, density_max=density_max)
 
 
 _CONFIG_KEYS = {"schemaVersion", "algorithm", "dim", "n", "seed", "domain",
@@ -349,12 +350,9 @@ def cmd_generate(args) -> int:
     elif n is None:
         raise CliError("--n is required for this algorithm")
     rng = RngState(seed)
-    try:
-        result = samplers.generate(algo, domain, None if n is None else int(n), rng, params)
-        if do_latinize:
-            result = samplers.latinize(result, rng)
-    except ValueError as err:
-        raise CliError(str(err)) from None
+    result = samplers.generate(algo, domain, None if n is None else int(n), rng, params)
+    if do_latinize:
+        result = samplers.latinize(result, rng)
     _emit_samples(result.points, args)
     return 0
 
@@ -386,7 +384,10 @@ def cmd_subset(args) -> int:
         raise CliError("subset from stdin requires --total (stream size unknown)")
     stream = CsvRecordStream(args.infile)
     total = int(args.total) if args.total is not None else stream.estimate_total
-    result = adapt.stream_subset(stream, config, RngState(seed), total_records=total)
+    try:
+        result = adapt.stream_subset(stream, config, RngState(seed), total_records=total)
+    finally:
+        stream.close()
     _emit_samples(result.points, args)
     return 0
 
@@ -396,19 +397,13 @@ def cmd_expand(args) -> int:
     dim = pts.shape[1]
     old = _build_domain(dim, args.lower, args.upper, None, None)
     new = _build_domain(dim, args.new_lower, args.new_upper, None, None)
-    try:
-        existing = SampleSet(old, pts, frozen_count=pts.shape[0])
-    except ValueError as err:
-        raise CliError(str(err)) from None
+    existing = SampleSet(old, pts, frozen_count=pts.shape[0])
     if args.add > 0:
         rng = RngState(_resolve_seed(args))
     else:
         rng = RngState(0)  # shrink draws nothing
     params = _parse_params(args.params)
-    try:
-        result = adapt.expand_domain(existing, new, args.add, args.algo, params, rng)
-    except ValueError as err:
-        raise CliError(str(err)) from None
+    result = adapt.expand_domain(existing, new, args.add, args.algo, params, rng)
     _emit_samples(result.points, args)
     return 0
 
@@ -417,17 +412,14 @@ def cmd_append_region(args) -> int:
     seed = _resolve_seed(args)
     pts = read_samples(args.anchors)
     domain = _build_domain(pts.shape[1], args.lower, args.upper, None, None)
-    try:
-        anchors = SampleSet(domain, pts, frozen_count=pts.shape[0])
-        region = adapt.CurveRegionSpec(
-            anchors=anchors,
-            half_width_fraction=args.halfwidth,
-            candidates_per_anchor=args.cands_per_anchor,
-            include_anchors=args.include_anchors,
-        )
-        result = adapt.curve_region_sample(region, args.n, RngState(seed))
-    except ValueError as err:
-        raise CliError(str(err)) from None
+    anchors = SampleSet(domain, pts, frozen_count=pts.shape[0])
+    region = adapt.CurveRegionSpec(
+        anchors=anchors,
+        half_width_fraction=args.halfwidth,
+        candidates_per_anchor=args.cands_per_anchor,
+        include_anchors=args.include_anchors,
+    )
+    result = adapt.curve_region_sample(region, args.n, RngState(seed))
     _emit_samples(result.points, args)
     return 0
 

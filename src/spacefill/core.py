@@ -23,7 +23,6 @@ __all__ = [
     "SampleSet",
     "RngState",
     "derive_seed",
-    "rng_uniform",
     "scale_to_unit",
     "scale_from_unit",
     "nearest_neighbor_distances",
@@ -238,11 +237,6 @@ class RngState:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngState(seed={self.seed})"
-
-
-def rng_uniform(state: RngState, lo: float, hi: float) -> float:
-    """One deterministic uniform draw in [lo, hi)."""
-    return float(state.uniform(lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -140,72 +140,30 @@ class FpConfig:
 
 
 # ---------------------------------------------------------------------------
-# Candidate generation.  Candidates are drawn in unit coordinates; viability
-# and density callables are evaluated at the corresponding domain point.
+# Candidate generation.  Candidates are drawn in unit coordinates of a
+# Domain; viability and density callables are evaluated at the corresponding
+# domain point.  Domain expansion passes the old box as ``exclude``, so that
+# candidates come only from the added shell.
 # ---------------------------------------------------------------------------
 
-class _Space:
-    """Box + optional candidate filter + optional excluded box + optional
-    density, in one bundle.
-
-    Public samplers build it from a Domain; domain expansion excludes the old
-    box, so that candidates come only from the added shell.
-    """
-
-    __slots__ = ("lower", "upper", "extent", "dim", "filter", "exclude", "density",
-                 "density_max")
-
-    def __init__(self, lower, upper, filter=None, density=None, density_max=None,
-                 exclude: Optional[Domain] = None):
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        self.extent = self.upper - self.lower
-        self.dim = self.lower.size
-        self.filter = filter
-        self.exclude = exclude
-        self.density = density
-        self.density_max = density_max
-
-    @classmethod
-    def of(cls, domain: Domain) -> "_Space":
-        return cls(domain.lower, domain.upper, domain.viability,
-                   domain.density, domain.density_max)
-
-    def from_unit(self, u):
-        return self.lower + np.asarray(u) * self.extent
-
-    def density_at_unit(self, u) -> float:
-        rho = float(self.density(self.from_unit(u)))
-        if rho < 0:
-            raise SamplingError(f"density returned a negative value {rho!r}")
-        if rho > self.density_max:
-            raise SamplingError(
-                f"density value {rho!r} exceeds declared density_max {self.density_max!r}"
-            )
-        return rho
-
-
-def _draw_unit(rng: RngState, space: _Space) -> np.ndarray:
-    """One unit-cube point, rejection-filtered like _draw_unit_batch."""
-    return _draw_unit_batch(rng, space, 1)[0]
-
-
-def _draw_unit_batch(rng: RngState, space: _Space, count: int) -> np.ndarray:
-    """(count, d) unit points drawn uniformly, keeping those that the space's
-    filter accepts and that lie outside its excluded box.
+def _draw_unit_batch(rng: RngState, domain: Domain, count: int,
+                     exclude: Optional[Domain] = None) -> np.ndarray:
+    """(count, d) unit points drawn uniformly, keeping those that the
+    domain's viability accepts and that lie outside the excluded box.
 
     Stream contract: a block of candidate rows is peeked, which leaves the
-    stream where it was.  The filter is called on each row in draw order
+    stream where it was.  The viability is called on each row in draw order
     until count rows are kept, and then exactly the rows examined are
-    consumed with one draw.  So the filter gets the same calls, on the same
-    points and in the same order, as with one draw per candidate, and never
-    a call past the last row kept; the output and the stream position are
-    those of per-candidate draws.  An unconstrained space takes one batched
-    draw, which consumes the stream identically.  REJECTION_CAP consecutive
-    rejections raise RegionTooSmallError.
+    consumed with one draw.  So the viability gets the same calls, on the
+    same points and in the same order, as with one draw per candidate, and
+    never a call past the last row kept; the output and the stream position
+    are those of per-candidate draws.  An unconstrained draw takes one
+    batched draw, which consumes the stream identically.  REJECTION_CAP
+    consecutive rejections raise RegionTooSmallError.
     """
-    d = space.dim
-    if space.filter is None and space.exclude is None:
+    d = domain.dim
+    viability = domain.viability
+    if viability is None and exclude is None:
         return rng.random((count, d))
     out = np.empty((count, d))
     kept = misses = 0
@@ -213,15 +171,15 @@ def _draw_unit_batch(rng: RngState, space: _Space, count: int) -> np.ndarray:
         # Twice the rows still needed fills most requests in one block at
         # acceptance rates above one half; the cap bounds a block's memory.
         u = rng._peek((min(2 * (count - kept) + 64, 1 << 14), d))
-        x = space.from_unit(u)
-        if space.exclude is None:
+        x = domain.from_unit(u)
+        if exclude is None:
             outside = [True] * len(x)
         else:
-            outside = (~space.exclude.contains(x)).tolist()
+            outside = (~exclude.contains(x)).tolist()
         hits = []
         for i in range(len(x)):
-            # The filter sees every drawn row, inside the excluded box too.
-            if (space.filter is None or space.filter(x[i])) and outside[i]:
+            # The viability sees every drawn row, inside the excluded box too.
+            if (viability is None or viability(x[i])) and outside[i]:
                 hits.append(i)
                 misses = 0
                 if kept + len(hits) == count:
@@ -237,24 +195,25 @@ def _draw_unit_batch(rng: RngState, space: _Space, count: int) -> np.ndarray:
     return out
 
 
-def _draw_unit_density(rng: RngState, space: _Space, count: int) -> np.ndarray:
+def _draw_unit_density(rng: RngState, domain: Domain, count: int,
+                       exclude: Optional[Domain] = None) -> np.ndarray:
     """(count, d) unit points distributed proportionally to the density.
 
-    Per point: draw coordinates, apply the filter and the excluded box, then
-    accept with probability density/density_max.  A point costs d+1 uniforms
-    per attempt.
+    Per point: draw coordinates, apply the viability and the excluded box,
+    then accept with probability density/density_max.  A point costs d+1
+    uniforms per attempt.
     """
-    out = np.empty((count, space.dim))
+    out = np.empty((count, domain.dim))
     for i in range(count):
         for _ in range(REJECTION_CAP):
-            u = rng.random(space.dim)
-            x = space.from_unit(u)
-            if space.filter is not None and not space.filter(x):
+            u = rng.random(domain.dim)
+            x = domain.from_unit(u)
+            if domain.viability is not None and not domain.viability(x):
                 continue
-            if space.exclude is not None and space.exclude.contains(x)[0]:
+            if exclude is not None and exclude.contains(x)[0]:
                 continue
             t = rng.random()
-            if t * space.density_max <= space.density_at_unit(u):
+            if t * domain.density_max <= domain.density_at(x):
                 out[i] = u
                 break
         else:
@@ -265,14 +224,18 @@ def _draw_unit_density(rng: RngState, space: _Space, count: int) -> np.ndarray:
     return out
 
 
-def _draw_points(rng: RngState, space: _Space, count: int) -> np.ndarray:
-    if space.density is not None:
-        return _draw_unit_density(rng, space, count)
-    return _draw_unit_batch(rng, space, count)
+def _draw_points(rng: RngState, domain: Domain, count: int,
+                 exclude: Optional[Domain] = None) -> np.ndarray:
+    if domain.density is not None:
+        return _draw_unit_density(rng, domain, count, exclude)
+    return _draw_unit_batch(rng, domain, count, exclude)
 
 
-def _density_values(space: _Space, unit_pts: np.ndarray) -> np.ndarray:
-    return np.array([space.density_at_unit(u) for u in unit_pts])
+def _density_values(domain: Domain, unit_pts: np.ndarray) -> Optional[np.ndarray]:
+    """The density at each unit point, or None when the domain has none."""
+    if domain.density is None:
+        return None
+    return np.array([domain.density_at(x) for x in domain.from_unit(unit_pts)])
 
 
 def _density_draw_index(rng: RngState, density_vals: np.ndarray) -> int:
@@ -296,19 +259,19 @@ def _scores(min_d2: np.ndarray, density_vals: Optional[np.ndarray]) -> np.ndarra
     return density_vals * np.sqrt(min_d2)
 
 
-def _existing_unit(space: _Space, existing: Optional[SampleSet]) -> np.ndarray:
+def _existing_unit(domain: Domain, existing: Optional[SampleSet]) -> np.ndarray:
     if existing is None or len(existing) == 0:
-        return np.empty((0, space.dim))
+        return np.empty((0, domain.dim))
     pts = existing.points
-    if pts.shape[1] != space.dim:
+    if pts.shape[1] != domain.dim:
         raise ValueError("existing set dimension does not match the domain")
-    if np.any(pts < space.lower) or np.any(pts > space.upper):
+    if np.any(pts < domain.lower) or np.any(pts > domain.upper):
         raise ValueError("existing points lie outside the sampling box")
-    return (pts - space.lower) / space.extent
+    return domain.to_unit(pts)
 
 
-def _assemble(domain: Domain, existing: Optional[SampleSet], new_unit, space: _Space) -> SampleSet:
-    new_pts = space.from_unit(np.asarray(new_unit).reshape(-1, space.dim))
+def _assemble(domain: Domain, existing: Optional[SampleSet], new_unit) -> SampleSet:
+    new_pts = domain.from_unit(np.asarray(new_unit).reshape(-1, domain.dim))
     if existing is None or len(existing) == 0:
         return SampleSet(domain, new_pts, frozen_count=0)
     stacked = np.vstack([existing.points, new_pts])
@@ -324,8 +287,7 @@ def random_sampling(domain: Domain, n: int, rng: RngState) -> SampleSet:
     domain has a viability predicate)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    space = _Space.of(domain)
-    return SampleSet(domain, space.from_unit(_draw_unit_batch(rng, space, n)))
+    return SampleSet(domain, domain.from_unit(_draw_unit_batch(rng, domain, n)))
 
 
 def grid_sampling(domain: Domain, bins_per_dim, mode: GridMode, rng: RngState,
@@ -504,11 +466,10 @@ def cvt_sampling(domain: Domain, n: int, rng: RngState,
             f"ppi={config.ppi} is below n={n}; generator estimates will be poor",
             RuntimeWarning,
         )
-    space = _Space.of(domain)
-    gens = _draw_points(rng, space, n)
+    gens = _draw_points(rng, domain, n)
     m = np.ones(n)
     for _ in range(config.n_iter):
-        pts = _draw_points(rng, space, config.ppi)
+        pts = _draw_points(rng, domain, config.ppi)
         labels = _nearest_labels(pts, gens)
         sums = np.zeros_like(gens)
         np.add.at(sums, labels, pts)
@@ -523,7 +484,7 @@ def cvt_sampling(domain: Domain, n: int, rng: RngState,
         move2 = ((gens[nonempty] - old) ** 2).sum(axis=1).max() if nonempty.any() else 0.0
         if math.sqrt(move2) < config.convergence_tol:
             break
-    return SampleSet(domain, space.from_unit(gens))
+    return SampleSet(domain, domain.from_unit(gens))
 
 
 def _nearest_labels(pts: np.ndarray, gens: np.ndarray, chunk: int = 8192) -> np.ndarray:
@@ -548,12 +509,11 @@ def poisson_disk(domain: Domain, config: PoissonConfig, rng: RngState) -> Sample
     list empties.  The sample count is an output, not an input; a radius
     exceeding the box diagonal yields a single sample.
     """
-    space = _Space.of(domain)
-    d = space.dim
+    d = domain.dim
     r = config.radius  # unit-scale distance
     r2 = r * r
     pts = np.empty((256, d))
-    pts[0] = _draw_unit(rng, space)
+    pts[0] = _draw_unit_batch(rng, domain, 1)[0]
     count = 1
     active = [0]
     while active:
@@ -565,7 +525,7 @@ def poisson_disk(domain: Domain, config: PoissonConfig, rng: RngState) -> Sample
             cand = base + offset
             if np.any(cand < 0.0) or np.any(cand > 1.0):
                 continue
-            if space.filter is not None and not space.filter(space.from_unit(cand)):
+            if domain.viability is not None and not domain.viability(domain.from_unit(cand)):
                 continue
             d2 = ((pts[:count] - cand) ** 2).sum(axis=1).min()
             if d2 >= r2:
@@ -578,7 +538,7 @@ def poisson_disk(domain: Domain, config: PoissonConfig, rng: RngState) -> Sample
                 break
         if not placed:
             active.pop(pos)
-    return SampleSet(domain, space.from_unit(pts[:count]))
+    return SampleSet(domain, domain.from_unit(pts[:count]))
 
 
 def _annulus_offset(rng: RngState, r: float, d: int) -> np.ndarray:
@@ -597,20 +557,16 @@ def _annulus_offset(rng: RngState, r: float, d: int) -> np.ndarray:
 # Farthest-point family
 # ---------------------------------------------------------------------------
 
-def _greedy_new(rng: RngState, space: _Space, n: int, config: FpConfig,
-                exist_u: np.ndarray, pool_out=None) -> np.ndarray:
-    """GreedyFP core over a candidate space; returns new unit points."""
-    pool = _draw_unit_batch(rng, space, n * config.scale)
-    if pool_out is not None:
-        pool_out.append(space.from_unit(pool))
-    density_vals = _density_values(space, pool) if space.density is not None else None
-    new_unit, _ = _select_from_pool(rng, pool, n, exist_u, density_vals,
-                                    first_random=len(exist_u) == 0)
-    return new_unit
+def _greedy_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
+                exist_u: np.ndarray, exclude: Optional[Domain] = None) -> np.ndarray:
+    """GreedyFP core over a candidate domain; returns new unit points."""
+    pool = _draw_unit_batch(rng, domain, n * config.scale, exclude)
+    return _select_from_pool(rng, pool, n, exist_u, _density_values(domain, pool),
+                             first_random=len(exist_u) == 0)
 
 
 def greedy_fp(domain: Domain, n: int, rng: RngState, config: FpConfig = FpConfig(scale=10),
-              existing: Optional[SampleSet] = None, pool_out=None) -> SampleSet:
+              existing: Optional[SampleSet] = None) -> SampleSet:
     """Greedy farthest-point selection over one up-front candidate pool.
 
     n*scale candidates are drawn once; the first sample is random among them
@@ -623,10 +579,8 @@ def greedy_fp(domain: Domain, n: int, rng: RngState, config: FpConfig = FpConfig
         raise ValueError("n must be >= 1")
     if config.scale is None or config.scale < 1:
         raise ValueError("greedy_fp requires scale >= 1")
-    space = _Space.of(domain)
-    exist_u = _existing_unit(space, existing)
-    new_unit = _greedy_new(rng, space, n, config, exist_u, pool_out)
-    return _assemble(domain, existing, new_unit, space)
+    exist_u = _existing_unit(domain, existing)
+    return _assemble(domain, existing, _greedy_new(rng, domain, n, config, exist_u))
 
 
 def _select_from_pool(rng, pool, n, exist_u, density_vals, first_random):
@@ -663,19 +617,15 @@ def _select_from_pool(rng, pool, n, exist_u, density_vals, first_random):
             idx = int(np.argmax(scores))
             available[idx] = False
             take(idx)
-    return np.asarray(selected), min_d2
+    return np.asarray(selected)
 
 
-def _bc_new(rng: RngState, space: _Space, n: int, config: FpConfig,
-            exist_u: np.ndarray, batch_log=None) -> np.ndarray:
-    """Best-candidate core over a candidate space; returns new unit points."""
+def _bc_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
+            exist_u: np.ndarray, exclude: Optional[Domain] = None) -> np.ndarray:
+    """Best-candidate core over a candidate domain; returns new unit points."""
     selected = []
     if len(exist_u) == 0:
-        if space.density is not None:
-            first = _draw_unit_density(rng, space, 1)[0]
-        else:
-            first = _draw_unit(rng, space)
-        selected.append(first)
+        selected.append(_draw_points(rng, domain, 1, exclude)[0])
     scored = np.vstack([exist_u, *selected]) if selected else exist_u
     while len(selected) < n:
         i_total = len(exist_u) + len(selected) + 1
@@ -685,12 +635,9 @@ def _bc_new(rng: RngState, space: _Space, n: int, config: FpConfig,
             n_cand = config.scale * i_total
             if config.max_cand is not None:
                 n_cand = min(n_cand, config.max_cand)
-        batch = _draw_unit_batch(rng, space, n_cand)
+        batch = _draw_unit_batch(rng, domain, n_cand, exclude)
         min_d2 = min_squared_dists(batch, scored)
-        density_vals = _density_values(space, batch) if space.density is not None else None
-        idx = int(np.argmax(_scores(min_d2, density_vals)))
-        if batch_log is not None:
-            batch_log.append((space.from_unit(batch), idx))
+        idx = int(np.argmax(_scores(min_d2, _density_values(domain, batch))))
         selected.append(batch[idx])
         scored = np.vstack([scored, batch[idx]])
     return np.asarray(selected)
@@ -698,7 +645,7 @@ def _bc_new(rng: RngState, space: _Space, n: int, config: FpConfig,
 
 def best_candidate(domain: Domain, n: int, rng: RngState,
                    config: FpConfig = FpConfig(n_cand_fixed=250),
-                   existing: Optional[SampleSet] = None, batch_log=None) -> SampleSet:
+                   existing: Optional[SampleSet] = None) -> SampleSet:
     """Best-candidate sampling: a fresh candidate batch per new sample, with
     the winner farthest from everything selected (plus existing points).
 
@@ -710,36 +657,30 @@ def best_candidate(domain: Domain, n: int, rng: RngState,
         raise ValueError("n must be >= 1")
     if config.n_cand_fixed is None and config.scale is None:
         raise ValueError("best_candidate requires n_cand_fixed or scale")
-    space = _Space.of(domain)
-    exist_u = _existing_unit(space, existing)
-    new_unit = _bc_new(rng, space, n, config, exist_u, batch_log)
-    return _assemble(domain, existing, new_unit, space)
+    exist_u = _existing_unit(domain, existing)
+    return _assemble(domain, existing, _bc_new(rng, domain, n, config, exist_u))
 
 
-def _hybrid_new(rng: RngState, space: _Space, n: int, config: FpConfig,
-                exist_u: np.ndarray, pool_out=None) -> np.ndarray:
+def _hybrid_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
+                exist_u: np.ndarray, exclude: Optional[Domain] = None) -> np.ndarray:
     """Hybrid core: greedy pool selection with periodic pool regeneration."""
     selected = []
     taken = 0
     while taken < n:
-        pool = _draw_unit_batch(rng, space, n * config.scale)
-        if pool_out is not None:
-            pool_out.append(space.from_unit(pool))
-        density_vals = _density_values(space, pool) if space.density is not None else None
+        pool = _draw_unit_batch(rng, domain, n * config.scale, exclude)
         scored = np.vstack([exist_u, *selected]) if selected else exist_u
         batch_n = min(config.refresh_count, n - taken)
-        new, _ = _select_from_pool(
-            rng, pool, batch_n, scored, density_vals,
+        selected.extend(_select_from_pool(
+            rng, pool, batch_n, scored, _density_values(domain, pool),
             first_random=(len(exist_u) == 0 and taken == 0),
-        )
-        selected.extend(new)
+        ))
         taken += batch_n
     return np.asarray(selected)
 
 
 def hybrid_bc_fp(domain: Domain, n: int, rng: RngState,
                  config: FpConfig = FpConfig(scale=10, refresh_count=100),
-                 existing: Optional[SampleSet] = None, pool_out=None) -> SampleSet:
+                 existing: Optional[SampleSet] = None) -> SampleSet:
     """GreedyFP with periodic pool regeneration: after every refresh_count
     selections the entire n*scale candidate pool is redrawn.
 
@@ -752,10 +693,8 @@ def hybrid_bc_fp(domain: Domain, n: int, rng: RngState,
         raise ValueError("hybrid requires scale >= 1")
     if config.refresh_count is None or config.refresh_count < 1:
         raise ValueError("hybrid requires refresh_count >= 1")
-    space = _Space.of(domain)
-    exist_u = _existing_unit(space, existing)
-    new_unit = _hybrid_new(rng, space, n, config, exist_u, pool_out)
-    return _assemble(domain, existing, new_unit, space)
+    exist_u = _existing_unit(domain, existing)
+    return _assemble(domain, existing, _hybrid_new(rng, domain, n, config, exist_u))
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +741,15 @@ def _placement(name) -> BinPlacement:
         raise ValueError(f"placement must be 'random' or 'center', got {name!r}") from None
 
 
+def _fp_config(algorithm: str, p: dict) -> FpConfig:
+    """The FpConfig of a farthest-point algorithm id, from merged params."""
+    if algorithm == "greedyfp":
+        return FpConfig(scale=int(p["scale"]))
+    if algorithm == "bc":
+        return FpConfig(n_cand_fixed=int(p["ncand"]))
+    return FpConfig(scale=int(p["scale"]), refresh_count=int(p["refresh"]))
+
+
 def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
              params: Optional[dict] = None, existing: Optional[SampleSet] = None) -> SampleSet:
     """Dispatch by algorithm id, filling missing parameters from the
@@ -818,9 +766,7 @@ def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
         raise ValueError(f"algorithm {algorithm!r} does not support existing points")
     if algorithm == "random":
         if existing is not None and len(existing) > 0:
-            space = _Space.of(domain)
-            new_unit = _draw_unit_batch(rng, space, n)
-            return _assemble(domain, existing, new_unit, space)
+            return _assemble(domain, existing, _draw_unit_batch(rng, domain, n))
         return random_sampling(domain, n, rng)
     if algorithm in ("grid", "stratified"):
         mode = GridMode.CORNERS if algorithm == "grid" else GridMode.STRATIFIED_RANDOM
@@ -838,19 +784,19 @@ def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
                         convergence_tol=float(p["tol"]))
         return cvt_sampling(domain, n, rng, cfg)
     if algorithm == "greedyfp":
-        return greedy_fp(domain, n, rng, FpConfig(scale=int(p["scale"])), existing)
+        return greedy_fp(domain, n, rng, _fp_config(algorithm, p), existing)
     if algorithm == "bc":
-        return best_candidate(domain, n, rng, FpConfig(n_cand_fixed=int(p["ncand"])), existing)
+        return best_candidate(domain, n, rng, _fp_config(algorithm, p), existing)
     if algorithm == "hybrid":
-        cfg = FpConfig(scale=int(p["scale"]), refresh_count=int(p["refresh"]))
-        return hybrid_bc_fp(domain, n, rng, cfg, existing)
+        return hybrid_bc_fp(domain, n, rng, _fp_config(algorithm, p), existing)
     raise AssertionError(f"unhandled algorithm {algorithm!r}")
 
 
-def _new_points(algorithm: str, rng: RngState, space: _Space, n: int,
-                params: Optional[dict], exist_u: np.ndarray) -> np.ndarray:
-    """New unit points by incremental-capable algorithm id over a custom
-    candidate space (used by the adaptation toolkit)."""
+def _new_points(algorithm: str, rng: RngState, domain: Domain, n: int,
+                params: Optional[dict], exist_u: np.ndarray,
+                exclude: Optional[Domain] = None) -> np.ndarray:
+    """New unit points by incremental-capable algorithm id, drawn from the
+    domain outside the excluded box (used by the adaptation toolkit)."""
     if algorithm not in INCREMENTAL_ALGORITHMS:
         raise ValueError(
             f"algorithm {algorithm!r} cannot add to existing samples; "
@@ -858,13 +804,9 @@ def _new_points(algorithm: str, rng: RngState, space: _Space, n: int,
         )
     p = _merged(algorithm, params)
     if algorithm == "random":
-        return _draw_unit_batch(rng, space, n)
-    if algorithm == "greedyfp":
-        return _greedy_new(rng, space, n, FpConfig(scale=int(p["scale"])), exist_u)
-    if algorithm == "bc":
-        return _bc_new(rng, space, n, FpConfig(n_cand_fixed=int(p["ncand"])), exist_u)
-    return _hybrid_new(rng, space, n,
-                       FpConfig(scale=int(p["scale"]), refresh_count=int(p["refresh"])), exist_u)
+        return _draw_unit_batch(rng, domain, n, exclude)
+    core = {"greedyfp": _greedy_new, "bc": _bc_new, "hybrid": _hybrid_new}[algorithm]
+    return core(rng, domain, n, _fp_config(algorithm, p), exist_u, exclude)
 
 
 ALGORITHMS = tuple(TABLE_DEFAULTS)

@@ -96,25 +96,25 @@ def brute_latinize(sample_set, rng):
     return SampleSet(dom, new_pts)
 
 
-def brute_draw_unit_batch(rng, space, count, cap):
+def brute_draw_unit_batch(rng, domain, count, cap, exclude=None):
     """Per-candidate rejection loop: one d-value draw per candidate, kept when
-    the filter accepts it and it lies outside the excluded box (the filter
-    is called first, on every candidate); cap consecutive rejections raise."""
+    the viability accepts it and it lies outside the excluded box (the
+    viability is called first, on every candidate); cap consecutive
+    rejections raise."""
     out = []
     for _ in range(count):
         for _ in range(cap):
-            u = rng.random(space.dim)
-            x = space.lower + u * space.extent
-            if space.filter is not None and not space.filter(x):
+            u = rng.random(domain.dim)
+            x = domain.lower + u * domain.extent
+            if domain.viability is not None and not domain.viability(x):
                 continue
-            ex = space.exclude
-            if ex is not None and np.all(x >= ex.lower) and np.all(x <= ex.upper):
+            if exclude is not None and np.all(x >= exclude.lower) and np.all(x <= exclude.upper):
                 continue
             out.append(u)
             break
         else:
             raise RegionTooSmallError("cap reached")
-    return np.array(out).reshape(count, space.dim)
+    return np.array(out).reshape(count, domain.dim)
 
 
 def assert_latin(points, n=None):

@@ -233,6 +233,13 @@ class TestCurveRegionSample:
         with pytest.raises(ValueError):
             sf.curve_region_sample(region, 13, RngState(83))
 
+    def test_collapsed_anchor_box_rejected(self):
+        # A half-width below float resolution gives an anchor box with
+        # lower == upper, which is not a valid Domain.
+        region = CurveRegionSpec(_curve_anchors(4), 1e-300, 3)
+        with pytest.raises(ValueError, match="degenerate domain"):
+            sf.curve_region_sample(region, 5, RngState(83))
+
     def test_include_anchors_repels_selections(self):
         anchors = _curve_anchors(20)
         for seed in range(3):

@@ -1,3 +1,4 @@
+import builtins
 import io
 import json
 
@@ -78,7 +79,13 @@ class TestGenerate:
     def test_bad_param_exit_2(self, capsys):
         code, _, err = run_out(capsys, "generate", "--algo", "bc", "--dim", "2",
                                "--n", "5", "--seed", "1", "--params", "bogus=3")
-        assert code == 2
+        assert (code, err) == (2, "spacefill: unknown parameter 'bogus' for algorithm 'bc'\n")
+
+    def test_degenerate_box_exit_2(self, capsys):
+        code, _, err = run_out(capsys, "generate", "--algo", "random", "--dim", "2",
+                               "--n", "5", "--seed", "1", "--lower=0,1", "--upper=1,1")
+        assert (code, err) == (
+            2, "spacefill: degenerate domain: lower must be strictly below upper\n")
 
     def test_latinize_flag(self, capsys):
         code, out, _ = run_out(capsys, "generate", "--algo", "random", "--dim", "2",
@@ -365,6 +372,37 @@ class TestCsvParsing:
         assert str(err.value) == want
 
 
+class TestBadInputClosesFiles:
+    """Every input file is closed when a command fails on bad input."""
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        handles = []
+        real_open = builtins.open
+
+        def recording_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            handles.append(fh)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        return handles
+
+    @pytest.mark.parametrize("content,argv", [
+        (b"x0,x1\n0.1,0.2\n0.3\n", ["subset", "--n", "1", "--segment", "1", "--seed", "1"]),
+        (b"\xffx0,x1\n0.1,0.2\n", ["subset", "--n", "1", "--segment", "1", "--seed", "1"]),
+        (b"\xffx0,x1\n0.1,0.2\n", ["score"]),
+        (b"\xffx0,x1\n0.1,0.2\n", ["latinize", "--seed", "1"]),
+    ], ids=["subset-ragged", "subset-not-utf8", "score-not-utf8", "latinize-not-utf8"])
+    def test_input_closed_after_exit_2(self, tmp_path, capsys, opened, content, argv):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(content)
+        code, _, err = run_out(capsys, *argv, "--in", str(f))
+        assert code == 2 and err.startswith("spacefill: ")
+        mine = [fh for fh in opened if getattr(fh, "name", None) == str(f)]
+        assert mine and all(fh.closed for fh in mine)
+
+
 class TestExpand:
     def test_shrink_drops_outside_rows(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
@@ -392,6 +430,21 @@ class TestExpand:
         assert pts.shape == (125, 2)
         assert np.all(pts[100:, 0] > 1.0)
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--upper", "0.5,0.5", "--new-lower", "0,0", "--new-upper", "1,1"],
+         "all points must lie inside the domain box"),
+        (["--new-lower", "2,2", "--new-upper", "3,3"],
+         "new domain is disjoint from the existing one"),
+        (["--new-lower", "0,0", "--new-upper", "2,2", "--add", "3", "--algo", "bc",
+          "--params", "bogus=1"],
+         "unknown parameter 'bogus' for algorithm 'bc'"),
+    ], ids=["outside-old-box", "disjoint", "bad-param"])
+    def test_invalid_request_exit_2(self, tmp_path, capsys, flags, message):
+        src = tmp_path / "s.csv"
+        src.write_text("x0,x1\n0.25,0.75\n0.5,0.5\n")
+        code, _, err = run_out(capsys, "expand", "--in", str(src), "--seed", "1", *flags)
+        assert (code, err) == (2, f"spacefill: {message}\n")
+
 
 class TestAppendRegion:
     def test_anchor_prefix_preserved(self, tmp_path, capsys):
@@ -408,6 +461,20 @@ class TestAppendRegion:
                          for ln in out.strip().splitlines()[1:]])
         assert rows.shape == (25, 2)
         assert np.allclose(rows[:10], pts, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--upper", "0.5,0.5"], "all points must lie inside the domain box"),
+        (["--halfwidth", "0"], "half_width_fraction must be positive"),
+        (["--n", "7"], "n must be in [1, 6] (anchors x candidates per anchor)"),
+        (["--halfwidth", "1e-300"], "degenerate domain: lower must be strictly below upper"),
+    ], ids=["outside-box", "zero-halfwidth", "n-too-large", "collapsed-box"])
+    def test_invalid_request_exit_2(self, tmp_path, capsys, flags, message):
+        anchors = tmp_path / "anchors.csv"
+        anchors.write_text("x0,x1\n0.25,0.75\n0.5,0.5\n")
+        argv = ["append-region", "--anchors", str(anchors), "--cands-per-anchor", "3",
+                "--n", "4", "--seed", "1"]
+        code, _, err = run_out(capsys, *argv, *flags)
+        assert (code, err) == (2, f"spacefill: {message}\n")
 
 
 class TestBench:

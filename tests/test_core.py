@@ -8,7 +8,6 @@ from spacefill.core import (
     derive_seed,
     min_pair,
     nearest_neighbor_distances,
-    rng_uniform,
     scale_from_unit,
     scale_to_unit,
 )
@@ -156,11 +155,6 @@ class TestRng:
     def test_uniform_mean(self):
         draws = RngState(1).uniform(0.0, 1.0, size=100_000)
         assert abs(draws.mean() - 0.5) < 0.01
-
-    def test_rng_uniform_op(self):
-        v = rng_uniform(RngState(5), 2.0, 4.0)
-        assert 2.0 <= v < 4.0
-        assert v == rng_uniform(RngState(5), 2.0, 4.0)
 
     def test_child_streams_differ_and_are_stable(self):
         r = RngState(9)

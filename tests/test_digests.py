@@ -1,14 +1,15 @@
-"""Pinned output digests: Latinization, viability-filtered generation, domain
-expansion, the viability calls they make, and the CLI's CSV bytes at fixed
-seeds.
+"""Pinned output digests: Latinization, generation on plain, non-unit,
+viability and density domains (with and without an existing prefix), domain
+expansion, density rejection draws, the viability calls they make, and the
+CLI's CSV bytes at fixed seeds.
 
 A ``latinize`` digest is the sha256 of the output points followed by the
 caller's next ``random()`` draw, so a shifted RNG stream is caught as well as
-a changed value.  A ``generate`` or ``expand_domain`` digest adds the next
-``integers(1000)`` draw before that ``random()``.  A viability-call digest
-covers every point the predicate receives, in order.  A CLI digest is the
-sha256 of the ``--out`` file.  A digest may change only in a change that says
-why in CHANGES.md.
+a changed value.  A ``generate``, ``expand_domain`` or
+``rejection_sample_density`` digest adds the next ``integers(1000)`` draw
+before that ``random()``.  A viability-call digest covers every point the
+predicate receives, in order.  A CLI digest is the sha256 of the ``--out``
+file.  A digest may change only in a change that says why in CHANGES.md.
 """
 
 import hashlib
@@ -17,7 +18,12 @@ import numpy as np
 import pytest
 
 from spacefill import cli, presets
-from spacefill.adapt import CurveRegionSpec, curve_region_sample, expand_domain
+from spacefill.adapt import (
+    CurveRegionSpec,
+    curve_region_sample,
+    expand_domain,
+    rejection_sample_density,
+)
 from spacefill.core import Domain, RngState, SampleSet
 from spacefill.samplers import generate, latinize
 
@@ -356,3 +362,204 @@ def test_expand_domain_digest(name):
 def test_viability_call_digest(name):
     """Same predicate calls, on the same points, in the same order."""
     assert viability_calls_digest(name) == VIABILITY_CALL_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# Plain, non-unit and density domains, existing prefixes, density draws
+# ---------------------------------------------------------------------------
+
+GAUSS, GAUSS_MAX = presets.density_by_name("gauss-center")
+
+PLAIN_PARAMS = dict(GENERATE_PARAMS, **{
+    "lhs-maximin": {"ntries": 2, "ninterchanges": 30},
+    "lhs-basic": None,
+})
+STRATIFIED_BINS = {2: 6, 4: 3}
+
+
+def _domain(kind: str, d: int) -> Domain:
+    """``unit``, ``box`` (non-unit bounds) or ``density`` (the unit cube
+    weighted by the gauss-center preset)."""
+    if kind == "density":
+        return Domain.unit(d, density=GAUSS, density_max=GAUSS_MAX)
+    return _box(d, kind == "unit")
+
+
+def plain_generate_digest(name: str) -> str:
+    """Case names are ``<algo>-<unit|box|density>-<d>d``."""
+    algo, kind, dim = name.rsplit("-", 2)
+    d = int(dim[:-1])
+    rng = RngState(51 + d)
+    dom = _domain(kind, d)
+    if algo == "poisson":
+        out = generate(algo, dom, None, rng, {"r": POISSON_RADIUS[d]})
+    elif algo == "stratified":
+        out = generate(algo, dom, None, rng, {"bins": STRATIFIED_BINS[d]})
+    else:
+        out = generate(algo, dom, 40, rng, PLAIN_PARAMS[algo])
+    return _sha(out.points.tobytes() + _stream_tail(rng))
+
+
+def existing_generate_digest(name: str) -> str:
+    """Case names are ``<algo>-<unit|box|density>-<d>d``: 25 points added
+    to a 30-point existing prefix."""
+    algo, kind, dim = name.rsplit("-", 2)
+    d = int(dim[:-1])
+    dom = _domain(kind, d)
+    u = np.random.default_rng(88 + d).random((30, d))
+    existing = SampleSet(dom, dom.from_unit(u), frozen_count=30)
+    rng = RngState(61 + d)
+    out = generate(algo, dom, 25, rng, PLAIN_PARAMS[algo], existing=existing)
+    return _sha(out.points.tobytes() + _stream_tail(rng))
+
+
+def density_expand_digest(name: str) -> str:
+    """Case names are ``<algo>-<full|empty>-<d>d``: 25 points added to 30
+    unit-box points (or to none) in [-0.25, 1.5]^d weighted by gauss-center."""
+    algo, prefix, dim = name.split("-")
+    d = int(dim[:-1])
+    u = np.random.default_rng(77 + d).random((30 if prefix == "full" else 0, d))
+    existing = SampleSet(Domain.unit(d), u, frozen_count=len(u))
+    wider = Domain(np.full(d, -0.25), np.full(d, 1.5), density=GAUSS, density_max=GAUSS_MAX)
+    rng = RngState(71 + d)
+    params = None if algo == "random" else GENERATE_PARAMS[algo]
+    out = expand_domain(existing, wider, 25, algo, params, rng)
+    return _sha(out.points.tobytes() + _stream_tail(rng))
+
+
+def rejection_density_digest(name: str) -> str:
+    """Case names are ``<unit|box>-<d>d``; the box is a little wider than
+    the unit cube, so that the acceptance rate stays practical in 4D."""
+    kind, dim = name.split("-")
+    d = int(dim[:-1])
+    if kind == "unit":
+        lower, upper = np.zeros(d), np.ones(d)
+    else:
+        k = np.arange(d)
+        lower, upper = -0.25 - 0.05 * k, 1.2 + 0.1 * k
+    dom = Domain(lower, upper, density=GAUSS, density_max=GAUSS_MAX)
+    rng = RngState(81 + d)
+    out = rejection_sample_density(dom, 50, rng)
+    return _sha(out.points.tobytes() + _stream_tail(rng))
+
+
+PLAIN_GENERATE_DIGESTS = {
+    "bc-box-2d": "97119811f83ec646698146f34d3b5e65bce1b4efc829b0d39714b62f2ec07e58",
+    "bc-box-4d": "d672380b5fd3eef3a9175654a1452dcec9d9e0795e25874ba6a771c4e4d6c009",
+    "bc-density-2d": "01dd340f71c97179cd2ba6d06c5ba6893ff4707170533e942a68adfe07da4cc1",
+    "bc-density-4d": "442cfdee7275d2623c6e892bde4fb873dc1b594e895995ff1022cadfeeed4f53",
+    "bc-unit-2d": "ef70c6caf28915f8f2b5dbc7f639eab851ee3328afdb800213a864dfdf1277ea",
+    "bc-unit-4d": "0dbf4fc10f2f47a1478a1d591bfaad48974da79a0d8bd9eb7196f233baa12f1b",
+    "cvt-box-2d": "6723b77c9569d25ee6308935b957faad4ee81005faa555a2d07a922fb9005743",
+    "cvt-box-4d": "78a669486c48c53ecab0ccc02556c37fe7ebcbc2f0fef3313ffa556c00dc226e",
+    "cvt-density-2d": "0c1d9fea7173e060293620e32fbc96124ebdcf381274f66edd0370d2c5844b93",
+    "cvt-density-4d": "bc7ce42322fb4db9d7989b652dfb001eca42cdc213c4492d31fb738d9f517e85",
+    "cvt-unit-2d": "86d79ff7b2a4da3fb9c73f203c1ddb0b3d3885a7b5366925d2e407e1345f258a",
+    "cvt-unit-4d": "22232f3d34aabdb492c2aed8796f577f7ac6a559a5ced35e9e17c09afc4d436e",
+    "greedyfp-box-2d": "0024f33e4a70ab662fdd60fc49d4dc8a3a358619ac79ca26275c9c17eb10c08f",
+    "greedyfp-box-4d": "910e277e16653607713e4f6340bf750b674579f7e38e87ec1503d54e29d3b41c",
+    "greedyfp-density-2d": "27a5d952db6f28acab99f947236d3a3430b3101b5a0e40520c708f1ffc786b2c",
+    "greedyfp-density-4d": "2049a28f8caa84177f17d7de8d8ee03436c4565b002e1bb749c121c162136bbd",
+    "greedyfp-unit-2d": "872249ee48a2733292f6ca643989956f15352655733770f3b4494dd62e748e7d",
+    "greedyfp-unit-4d": "fc3390c88acb609b086fa75ec23075cbd0acbd219f5c44651e9bd636a9eb194f",
+    "hybrid-box-2d": "27a3923e0abc5e27de2481fd9f2e8a31082566c0f5327cac9284c5c45e624cad",
+    "hybrid-box-4d": "26ab02aabae8da449966c484cb46d95280c165e70ffcd079d4db6a5090d15d93",
+    "hybrid-density-2d": "3116f0386bb05f968666665e0998a9d0f777c011a4a37b3d72e27ec2967a66df",
+    "hybrid-density-4d": "f8312318a1318718529e81b93a2a46bd91f059f43c47bbc297978ed73d072ab1",
+    "hybrid-unit-2d": "084e7a2d69bd285c9ce65fbe0e123f82ae276f46a9b7e422e437acdc6d694bc2",
+    "hybrid-unit-4d": "d272b06bcb20459b49a28566d3640afff5956324bac6c673dad6e09a274a7393",
+    "lhs-basic-box-2d": "2606909ce8222466573be33e23f03a560e8ebd725afd0605e21cc4c9128e4f56",
+    "lhs-basic-box-4d": "18f58e424e488d3448dbe5438579f5817ab6452b8466b7aef2f95b3111ad5aa4",
+    "lhs-basic-density-2d": "97bf46ea491ae43590564e6775d7e42f88e1444e1b76c3158cafc2bcc3083f98",
+    "lhs-basic-density-4d": "af226605e96507bed1dba0c931042df80932b527e41462ef17ed8a2cd7caf652",
+    "lhs-basic-unit-2d": "97bf46ea491ae43590564e6775d7e42f88e1444e1b76c3158cafc2bcc3083f98",
+    "lhs-basic-unit-4d": "af226605e96507bed1dba0c931042df80932b527e41462ef17ed8a2cd7caf652",
+    "lhs-maximin-box-2d": "a000f93360eaafac6ca8acec84b2c539709f2218eb94cba98188e1e55ec8d9a8",
+    "lhs-maximin-box-4d": "f4b1ea62d79117693bb1fe811d01f5df262e4ae79bfd87fd95c3aa10e9790b8e",
+    "lhs-maximin-density-2d": "c34c6c367dc84273f51f57aa1e507e1753fdf31de727193478dfc0491652f4b3",
+    "lhs-maximin-density-4d": "2c3d6510aea4d422b8629704ebfb79da839839e033f7166575864827d58a40cd",
+    "lhs-maximin-unit-2d": "c34c6c367dc84273f51f57aa1e507e1753fdf31de727193478dfc0491652f4b3",
+    "lhs-maximin-unit-4d": "2c3d6510aea4d422b8629704ebfb79da839839e033f7166575864827d58a40cd",
+    "poisson-box-2d": "1902146fad08f3aef3480f2eaa206f9b70641a6f0a7c84cc89621e0a27e41044",
+    "poisson-box-4d": "0d712540636fcf6b8d8b8c286c32b3c4ae909104d1ca602943546bc04daa8927",
+    "poisson-unit-2d": "f26d671983e91bd4b751165423700a2c85f151ab01d18253cd2f1ee2b89a269f",
+    "poisson-unit-4d": "6be4e3f44697b382edbd94cb4ae553fe45514e0e24676224374922ae2fcc3fcf",
+    "random-box-2d": "f8ef54b4e41cef6f63ca791a72c9587a2fd6c5d6b7964d1f4915f64d32838070",
+    "random-box-4d": "023937836b17d2805b275fc3bdb80d82d9f7047cc4c474e88c944096f2ea214b",
+    "random-density-2d": "6d511764653b8df1e9b04ed5e710376f34e19e7022608cb29e6e8ef3656ad834",
+    "random-density-4d": "88a6c68e2a06bb6bf2e62495ccc82a6b6a50ce4fa7a5a6f1f28fcd7fb24d8833",
+    "random-unit-2d": "6d511764653b8df1e9b04ed5e710376f34e19e7022608cb29e6e8ef3656ad834",
+    "random-unit-4d": "88a6c68e2a06bb6bf2e62495ccc82a6b6a50ce4fa7a5a6f1f28fcd7fb24d8833",
+    "stratified-box-2d": "88cb7340b2716f2c6d42ba775d195cb67a3a11026f67682390314cac53240e17",
+    "stratified-box-4d": "3afe393f642b473e6cdae54d673e44f4142bbb8ef7e521c43e07979ae82a4ead",
+    "stratified-density-2d": "6191ff7988f29ebab68021f4461222cb60409e7c3c3b5dcbd26d30244a0b09f7",
+    "stratified-density-4d": "662e423a2741b3ff86bb0c401df723687c6ddf9b3933234f54dae01e5d557857",
+    "stratified-unit-2d": "6191ff7988f29ebab68021f4461222cb60409e7c3c3b5dcbd26d30244a0b09f7",
+    "stratified-unit-4d": "662e423a2741b3ff86bb0c401df723687c6ddf9b3933234f54dae01e5d557857",
+}
+
+EXISTING_GENERATE_DIGESTS = {
+    "bc-box-2d": "923085d69cfc27fe39218bbb0b62d72f1872c43a1099beb39d60a2d27412fa47",
+    "bc-box-4d": "23b86ec7235c86296eeb55c4094d49c3799de9aa431e5ce6dd5759e825e2946e",
+    "bc-density-2d": "188d7bf5439e82575e69fc7ab7dc60898e3442cd100d0f0eac38ac70c42b95e9",
+    "bc-density-4d": "e60364348b204e69bf1667b34ab7ef44b995bb1d36135daa342a6df00b6ec69f",
+    "bc-unit-2d": "b3580d3fa95b2866cef5be2873cb9e24ad61251428978e94ea546b85b2b4eefa",
+    "bc-unit-4d": "5d3ecca9fda134cdcc968f3ac23833f73ff1eee2a0c8a4bb414a8f3ca0cc3ee9",
+    "greedyfp-box-2d": "6ff36a173d402ea345682bc29d0351e1267780c2af49d40c88ca54e6e1f09512",
+    "greedyfp-box-4d": "638ab737f8f706b59013fcd6b1d1e558c8b1a2154ad7db9bc2a8f877e346a6ea",
+    "greedyfp-density-2d": "9aec7c77ed69bf60acbd48332aaa50926a995e9c37c5072e377ff29013046718",
+    "greedyfp-density-4d": "4f809439f52686b87fb9399f5e233b7f334ae6943947eaec5db7af1f9f9ff28a",
+    "greedyfp-unit-2d": "bb1df2187e173495573f5a022b1ea9b8ac5f6838b321c5d1b6f36540d13387e8",
+    "greedyfp-unit-4d": "8d7cc275c8566f4c4260bfa90cb53b108d181f8c6ddf2ffcaa5919e7f61d623e",
+    "hybrid-box-2d": "9ea79a00e91097487901b5398f2bad15e1bfe369e3e1749e7d6843eb0c5f97ed",
+    "hybrid-box-4d": "d1410f7c0273d9530e8d70568e6720e330569b8368952bf76b6ba157c51de2d7",
+    "hybrid-density-2d": "615615c429e435e2edd1f87e55c74b36b250ed573241b77ba04fc8b886a10ff8",
+    "hybrid-density-4d": "dc4f652c6f006471d9d3e0fe42b29af54ca936008044ee14cf820f2f60121efb",
+    "hybrid-unit-2d": "98b8e514b5f75686980468cfb3872998dca662cfd4ec472076c0724c4c299fd3",
+    "hybrid-unit-4d": "768bad5b57a51507ec4d983774ed3cb802112c0c702426703e3e9e330211adbc",
+    "random-box-2d": "bc1c618b2c5cf4b4bc8b41b2020181733801c0e0e2f386eff224ef4921985676",
+    "random-box-4d": "2329f7414fcb3ef51481f527722ff6b69cb44952c6ded0b443522ffbfe1c038f",
+    "random-density-2d": "609a2af97cc9a4de15de5133c69ac5c9419ac32082c469137a5bee691e17bd43",
+    "random-density-4d": "870012dd96982a48dc34ad15637e7c2d4f0bf2894033f451df26976363e37bf9",
+    "random-unit-2d": "609a2af97cc9a4de15de5133c69ac5c9419ac32082c469137a5bee691e17bd43",
+    "random-unit-4d": "870012dd96982a48dc34ad15637e7c2d4f0bf2894033f451df26976363e37bf9",
+}
+
+DENSITY_EXPAND_DIGESTS = {
+    "bc-empty-2d": "c75a999bb842c75e49d1664c3ab706835e35edc565c458849794ef8bc4e40acf",
+    "bc-full-2d": "db1ad4f2f801550653a20d4083596c0e01d91a2ffca7901c5341ca7916a2d554",
+    "bc-full-4d": "15ba3bda52e329e386ffd59a23e35b6d261bde104b8da43460fe63e416b389f8",
+    "greedyfp-full-2d": "593f1a5d7bd37b5f6880d740a2ca16d58ee9020408cbab97e38bcd654313c3f2",
+    "greedyfp-full-4d": "946a6b8f4c5fa139a545140219f238efd109e467fab6295a91f98f6fb2f63b18",
+    "hybrid-full-2d": "2d2ec8193fa963242b78129a39462fa6ac8126f3c97150ae24db62739ff491b8",
+    "hybrid-full-4d": "decbea5b9002ca0f634bb4d42659f16cf5646625de21698807f2dc901f522c02",
+    "random-full-2d": "721f88471a4e5d0bb86a66e4e541e01ed412f83b8657b0cbe92bff4dfa1da3fb",
+    "random-full-4d": "c47329642ea4bdb058a97286f02f0f9c7fb87882e61e130d8f5e1734a2d6f496",
+}
+
+REJECTION_DENSITY_DIGESTS = {
+    "box-2d": "90f23e04b4dbac6ebefde1572b4570ca2f55a37d861a5bdc2348f6e04324cab2",
+    "box-4d": "5eee9939180306b5093303520689e2a2d0b4fc0b1f733f467ed6371cd1840f46",
+    "unit-2d": "554d5a9403f9616beb41d12c7956e081e248681173a0aca7cf5ccf53feb9411a",
+    "unit-4d": "06d6817a65453d1f04e1f5793ad9e55c65924b0a1b3a3b05aee1f58c82f8b086",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_GENERATE_DIGESTS))
+def test_plain_generate_digest(name):
+    assert plain_generate_digest(name) == PLAIN_GENERATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXISTING_GENERATE_DIGESTS))
+def test_existing_generate_digest(name):
+    assert existing_generate_digest(name) == EXISTING_GENERATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DENSITY_EXPAND_DIGESTS))
+def test_density_expand_digest(name):
+    assert density_expand_digest(name) == DENSITY_EXPAND_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REJECTION_DENSITY_DIGESTS))
+def test_rejection_density_digest(name):
+    assert rejection_density_digest(name) == REJECTION_DENSITY_DIGESTS[name]

@@ -16,7 +16,6 @@ from spacefill.samplers import (
     LhsConfig,
     PoissonConfig,
     _draw_unit_batch,
-    _Space,
     generate,
 )
 
@@ -101,19 +100,19 @@ class TestDrawUnitBatch:
     def test_matches_per_candidate_loop(self, d, count, threshold, exclude, cap, seed):
         lower, upper = np.full(d, -1.0), np.full(d, 2.0)
         old_box = Domain(np.zeros(d), np.full(d, 1.5)) if exclude else None
-        spaces = [_Space(lower, upper, None if threshold is None else RecordingFilter(threshold),
-                         exclude=old_box) for _ in range(2)]
+        domains = [Domain(lower, upper, None if threshold is None else RecordingFilter(threshold))
+                   for _ in range(2)]
         rng, ref_rng = RngState(seed), RngState(seed)
         old_cap, samplers.REJECTION_CAP = samplers.REJECTION_CAP, cap
         try:
             try:
-                out = _draw_unit_batch(rng, spaces[0], count)
+                out = _draw_unit_batch(rng, domains[0], count, old_box)
             except RegionTooSmallError:
                 out = None
         finally:
             samplers.REJECTION_CAP = old_cap
         try:
-            ref = brute_draw_unit_batch(ref_rng, spaces[1], count, cap)
+            ref = brute_draw_unit_batch(ref_rng, domains[1], count, cap, old_box)
         except RegionTooSmallError:
             ref = None
         if ref is None:
@@ -121,7 +120,8 @@ class TestDrawUnitBatch:
         else:
             assert out.tobytes() == ref.tobytes()
         if threshold is not None:  # the same calls, on the same points, in order
-            assert np.array_equal(np.array(spaces[0].filter.seen), np.array(spaces[1].filter.seen))
+            assert np.array_equal(np.array(domains[0].viability.seen),
+                                  np.array(domains[1].viability.seen))
         assert rng.random() == ref_rng.random()
         assert rng.integers(1000) == ref_rng.integers(1000)
 
@@ -339,26 +339,42 @@ def _greedy_oracle(pool, n, first_point, existing=None):
     return np.array(chosen)
 
 
+@pytest.fixture
+def draw_sizes(monkeypatch):
+    """Row counts of every samplers._draw_unit_batch call, in call order."""
+    sizes = []
+    real = samplers._draw_unit_batch
+
+    def recording(rng, domain, count, exclude=None):
+        sizes.append(count)
+        return real(rng, domain, count, exclude)
+
+    monkeypatch.setattr(samplers, "_draw_unit_batch", recording)
+    return sizes
+
+
 class TestGreedyFp:
+    """On an unconstrained unit domain the pool is the stream's first
+    random((n * scale, d)) draw."""
+
     def test_single_sample_comes_from_pool(self, unit2):
-        pool_out = []
-        s = sf.greedy_fp(unit2, 1, RngState(26), FpConfig(scale=20), pool_out=pool_out)
-        assert any(np.array_equal(s.points[0], c) for c in pool_out[0])
+        pool = RngState(26).random((20, 2))
+        s = sf.greedy_fp(unit2, 1, RngState(26), FpConfig(scale=20))
+        assert any(np.array_equal(s.points[0], c) for c in pool)
 
     def test_center_beats_corners(self, unit2):
         corners = SampleSet(unit2, [[0, 0], [0, 1], [1, 0], [1, 1]])
-        pool_out = []
-        s = sf.greedy_fp(unit2, 1, RngState(27), FpConfig(scale=200),
-                         existing=corners, pool_out=pool_out)
+        pool = RngState(27).random((200, 2))
+        s = sf.greedy_fp(unit2, 1, RngState(27), FpConfig(scale=200), existing=corners)
         new = s.points[4]
-        dists = cdist(pool_out[0], corners.points).min(axis=1)
-        assert np.array_equal(new, pool_out[0][np.argmax(dists)])
+        dists = cdist(pool, corners.points).min(axis=1)
+        assert np.array_equal(new, pool[np.argmax(dists)])
         assert np.linalg.norm(new - 0.5) < 0.2
 
     def test_matches_greedy_oracle(self, unit2):
-        pool_out = []
-        s = sf.greedy_fp(unit2, 5, RngState(28), FpConfig(scale=4), pool_out=pool_out)
-        want = _greedy_oracle(pool_out[0].tolist(), 5, s.points[0].tolist())
+        pool = RngState(28).random((20, 2))
+        s = sf.greedy_fp(unit2, 5, RngState(28), FpConfig(scale=4))
+        want = _greedy_oracle(pool.tolist(), 5, s.points[0].tolist())
         assert np.allclose(s.points, want, rtol=0, atol=0)
 
     def test_existing_prefix_untouched(self, unit2):
@@ -375,22 +391,24 @@ class TestBestCandidate:
         assert np.array_equal(a.points, b.points)
 
     def test_each_winner_is_batch_argmax(self, unit2):
-        log = []
-        s = sf.best_candidate(unit2, 10, RngState(32), FpConfig(n_cand_fixed=40), batch_log=log)
-        assert len(log) == 9  # first sample is drawn directly, not from a batch
+        # The first sample is one random((1, d)) draw, not a batch; each
+        # later sample is the argmax of the next random((ncand, d)) batch.
+        rng, replay = RngState(32), RngState(32)
+        s = sf.best_candidate(unit2, 10, rng, FpConfig(n_cand_fixed=40))
+        assert np.array_equal(s.points[0], replay.random((1, 2))[0])
         selected = [s.points[0]]
-        for step, (batch, idx) in enumerate(log):
-            scores = cdist(batch, np.asarray(selected)).min(axis=1)
-            assert idx == int(np.argmax(scores))
+        for step in range(9):
+            batch = replay.random((40, 2))
+            idx = int(np.argmax(cdist(batch, np.asarray(selected)).min(axis=1)))
+            assert np.array_equal(s.points[step + 1], batch[idx])
             selected.append(batch[idx])
+        assert rng.random() == replay.random()  # nine batches, no more
 
-    def test_scaled_batch_sizes(self, unit2):
-        log = []
-        sf.best_candidate(unit2, 6, RngState(33),
-                          FpConfig(scale=3, max_cand=12), batch_log=log)
-        sizes = [len(b) for b, _ in log]
-        # sample i uses min(scale*i, max_cand) candidates, i = 2..6
-        assert sizes == [6, 9, 12, 12, 12]
+    def test_scaled_batch_sizes(self, unit2, draw_sizes):
+        sf.best_candidate(unit2, 6, RngState(33), FpConfig(scale=3, max_cand=12))
+        # the 1-row first draw, then min(scale*i, max_cand) candidates for
+        # sample i = 2..6
+        assert draw_sizes == [1, 6, 9, 12, 12, 12]
 
     def test_space_filling_beats_random(self, unit2):
         s = sf.best_candidate(unit2, 100, RngState(34), FpConfig(n_cand_fixed=250))
@@ -406,12 +424,11 @@ class TestHybrid:
         b = sf.greedy_fp(unit2, 50, RngState(35), FpConfig(scale=10))
         assert np.array_equal(a.points, b.points)
 
-    def test_pool_regeneration_count(self, unit2):
+    def test_pool_regeneration_count(self, unit2, draw_sizes):
         for n, rc in [(50, 10), (45, 10), (50, 50), (50, 7)]:
-            pools = []
-            sf.hybrid_bc_fp(unit2, n, RngState(36), FpConfig(scale=5, refresh_count=rc),
-                            pool_out=pools)
-            assert len(pools) == math.ceil(n / rc)
+            draw_sizes.clear()
+            sf.hybrid_bc_fp(unit2, n, RngState(36), FpConfig(scale=5, refresh_count=rc))
+            assert draw_sizes == [n * 5] * math.ceil(n / rc)
 
     def test_refresh_one_runs(self, unit2):
         s = sf.hybrid_bc_fp(unit2, 10, RngState(37), FpConfig(scale=5, refresh_count=1))
