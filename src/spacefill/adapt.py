@@ -24,7 +24,7 @@ from .core import (
     min_squared_dists,
 )
 from . import samplers
-from .samplers import INCREMENTAL_ALGORITHMS
+from .samplers import INCREMENTAL_ALGORITHMS, _greedy_picks
 
 __all__ = [
     "CurveRegionSpec",
@@ -86,13 +86,15 @@ def density_weighted_select(candidates, selected, density: Callable, rng: RngSta
 
     With an empty selection the index is drawn at random among the
     candidates, weighted by density via one rejection pass.  Distances are
-    measured in the coordinates the arrays are given in.  All-zero densities
-    are an error.
+    measured in the coordinates the arrays are given in.  Non-finite,
+    negative and all-zero densities are errors.
     """
     cands = np.atleast_2d(np.asarray(candidates, dtype=float))
     if cands.shape[0] == 0:
         raise ValueError("candidates must be nonempty")
     vals = np.array([float(density(c)) for c in cands])
+    if not np.all(np.isfinite(vals)):
+        raise SamplingError("density returned a non-finite value")
     if np.any(vals < 0):
         raise SamplingError("density returned a negative value")
     if not vals.max() > 0.0:
@@ -100,8 +102,7 @@ def density_weighted_select(candidates, selected, density: Callable, rng: RngSta
     sel = np.asarray(selected, dtype=float).reshape(-1, cands.shape[1]) if selected is not None else None
     if sel is None or sel.shape[0] == 0:
         return samplers._density_draw_index(rng, vals)
-    min_d2 = min_squared_dists(cands, sel)
-    return int(np.argmax(vals * np.sqrt(min_d2)))
+    return _greedy_picks(cands, min_squared_dists(cands, sel), 1, weights=vals)[0]
 
 
 def rejection_sample_density(domain: Domain, count: int, rng: RngState) -> SampleSet:
@@ -226,35 +227,6 @@ def curve_region_sample(region: CurveRegionSpec, n: int, rng: RngState) -> Sampl
     picks = _greedy_picks(cand_u, min_d2, n, first)
     stacked = np.vstack([anchors.points, cands[picks]])
     return SampleSet(dom, stacked, frozen_count=len(anchors))
-
-
-def _greedy_picks(x: np.ndarray, min_d2: np.ndarray, count: int,
-                  first: Optional[int]) -> list:
-    """Indices of count rows of x picked greedily to maximize the minimum
-    squared distance, starting from min_d2 (updated in place) and, when
-    given, from row first.  A picked row's min_d2 is set to -inf, which can
-    never win an argmax."""
-    work = np.empty_like(x)
-    row = np.empty(x.shape[0])
-    picks = []
-    for step in range(count):
-        idx = first if step == 0 and first is not None else int(np.argmax(min_d2))
-        picks.append(idx)
-        # The same arithmetic as ((x - x[idx]) ** 2).sum(axis=1), into buffers.
-        np.subtract(x, x[idx], out=work)
-        np.square(work, out=work)
-        if x.shape[1] < 8:
-            # Below 8 terms numpy's row sum adds left to right, so adding the
-            # columns in order gives the same bits, several times faster.
-            # From 8 terms on it keeps 8 partial sums, which this would not.
-            np.copyto(row, work[:, 0])
-            for j in range(1, x.shape[1]):
-                np.add(row, work[:, j], out=row)
-        else:
-            work.sum(axis=1, out=row)
-        np.minimum(min_d2, row, out=min_d2)
-        min_d2[idx] = -np.inf
-    return picks
 
 
 def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,

@@ -83,15 +83,12 @@ def _parse_lines(lines: list, linenos: list, dim) -> np.ndarray:
 def read_samples(path, with_linenos: bool = False):
     """Load a whole sample CSV ("-" reads stdin; header row optional) as an
     (n, d) array."""
-    reader = _CsvReader(path)
     blocks = []
     linenos = []
-    try:
+    with _CsvReader(path) as reader:
         while (block := reader.read_block()) is not None:
             blocks.append(block[0])
             linenos.extend(block[1])
-    finally:
-        reader.close()
     if not blocks:
         raise CliError(f"{path}: no data rows")
     pts = np.concatenate(blocks)
@@ -113,7 +110,8 @@ class _CsvReader:
     """Sample CSV input ("-" is stdin), parsed _BLOCK_LINES lines at a time.
 
     The first line is a header when one of its cells is not a number.
-    Blank lines are skipped, and line numbers count every line.
+    Blank lines are skipped, and line numbers count every line.  Use it in
+    a ``with`` block, or call ``close``, to close an input read only in part.
     """
 
     def __init__(self, path: str):
@@ -141,31 +139,42 @@ class _CsvReader:
 
     def read_block(self):
         """(rows, line numbers, byte sizes with line ends) of the next
-        block's data lines, or None at the end of the input."""
-        while self._fh is not None:
-            raws = self._head + list(islice(self._fh, _BLOCK_LINES - len(self._head)))
-            self._head = []
-            if not raws:
-                self.close()
-                break
-            lines, linenos, sizes = [], [], []
-            for lineno, raw in enumerate(raws, start=self._lineno + 1):
-                line = raw.rstrip("\r\n")
-                if line:
-                    lines.append(line)
-                    linenos.append(lineno)
-                    sizes.append(len(raw.encode()))
-            self._lineno += len(raws)
-            if lines:
-                rows = _parse_lines(lines, linenos, self._dim)
-                self._dim = rows.shape[1]
-                return rows, linenos, sizes
+        block's data lines, or None at the end of the input.  A block that
+        fails to read or parse closes the input before the error propagates."""
+        try:
+            while self._fh is not None:
+                raws = self._head + list(islice(self._fh, _BLOCK_LINES - len(self._head)))
+                self._head = []
+                if not raws:
+                    self.close()
+                    break
+                lines, linenos, sizes = [], [], []
+                for lineno, raw in enumerate(raws, start=self._lineno + 1):
+                    line = raw.rstrip("\r\n")
+                    if line:
+                        lines.append(line)
+                        linenos.append(lineno)
+                        sizes.append(len(raw.encode()))
+                self._lineno += len(raws)
+                if lines:
+                    rows = _parse_lines(lines, linenos, self._dim)
+                    self._dim = rows.shape[1]
+                    return rows, linenos, sizes
+        except BaseException:
+            self.close()
+            raise
         return None
 
     def close(self) -> None:
         if self._owned and self._fh is not None:
             self._fh.close()
         self._fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class CsvRecordStream(_CsvReader):
@@ -382,12 +391,9 @@ def cmd_subset(args) -> int:
     config = adapt.StreamConfig(segment_size=args.segment, subset_size=args.n)
     if args.infile == "-" and args.total is None:
         raise CliError("subset from stdin requires --total (stream size unknown)")
-    stream = CsvRecordStream(args.infile)
-    total = int(args.total) if args.total is not None else stream.estimate_total
-    try:
+    with CsvRecordStream(args.infile) as stream:
+        total = int(args.total) if args.total is not None else stream.estimate_total
         result = adapt.stream_subset(stream, config, RngState(seed), total_records=total)
-    finally:
-        stream.close()
     _emit_samples(result.points, args)
     return 0
 

@@ -66,7 +66,7 @@ class Domain:
         stops at the last candidate it keeps, so none past it is tested.  A
         ``SampleSet`` calls it once per point to validate.
     density : callable, optional
-        Nonnegative weight ``point -> float``; requires ``density_max``.
+        Finite, nonnegative weight ``point -> float``; requires ``density_max``.
     density_max : float, optional
         Declared upper bound of ``density`` over the box.  A density value
         observed above this bound is a contract violation and raises.
@@ -125,8 +125,11 @@ class Domain:
         return (np.asarray(x) - self.lower) / self.extent
 
     def density_at(self, point: np.ndarray) -> float:
-        """Evaluate the density, enforcing the declared upper bound."""
+        """Evaluate the density, enforcing the declared upper bound; a
+        non-finite or negative value raises too."""
         rho = float(self.density(point))
+        if not np.isfinite(rho):
+            raise SamplingError(f"density returned a non-finite value {rho!r}")
         if rho < 0:
             raise SamplingError(f"density returned a negative value {rho!r}")
         if rho > self.density_max:

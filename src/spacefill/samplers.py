@@ -251,12 +251,13 @@ def _density_draw_index(rng: RngState, density_vals: np.ndarray) -> int:
     raise RegionTooSmallError("density-weighted candidate draw exceeded the rejection cap")
 
 
-def _scores(min_d2: np.ndarray, density_vals: Optional[np.ndarray]) -> np.ndarray:
-    """Selection scores: squared min-distance, or density * distance when a
-    density is present (same argmax as the unsquared rule)."""
-    if density_vals is None:
+def _scores(min_d2: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
+    """Selection scores: the squared min-distance, or weight * distance when
+    weights (densities) are given, which has the argmax of the unsquared
+    rule either way.  Taken rows, whose min_d2 is -inf, score -inf."""
+    if weights is None:
         return min_d2
-    return density_vals * np.sqrt(min_d2)
+    return np.where(min_d2 < 0, -np.inf, weights * np.sqrt(np.maximum(min_d2, 0.0)))
 
 
 def _existing_unit(domain: Domain, existing: Optional[SampleSet]) -> np.ndarray:
@@ -557,12 +558,89 @@ def _annulus_offset(rng: RngState, r: float, d: int) -> np.ndarray:
 # Farthest-point family
 # ---------------------------------------------------------------------------
 
+def _row_sums(sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Column sums of a (d, n) block into out, overwriting sq, with the bits
+    of numpy's ``sum(axis=1)`` over the (n, d) transpose.
+
+    numpy sums a contiguous row pairwise.  Below 8 terms it adds them in
+    order.  Up to 128 terms it keeps 8 partial sums over blocks of 8,
+    combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds the
+    remaining terms in order.  Above 128 terms it splits at half the count
+    rounded down to a multiple of 8 and sums each part that way.
+    """
+    d = sq.shape[0]
+    if d < 8:
+        np.copyto(out, sq[0])
+        for j in range(1, d):
+            np.add(out, sq[j], out=out)
+    elif d <= 128:
+        blocks = d - d % 8
+        r = sq[:8]
+        for i in range(8, blocks, 8):
+            np.add(r, sq[i:i + 8], out=r)
+        np.add(r[0::2], r[1::2], out=r[0::2])
+        np.add(r[0::4], r[2::4], out=r[0::4])
+        np.add(r[0], r[4], out=out)
+        for j in range(blocks, d):
+            np.add(out, sq[j], out=out)
+    else:
+        half = d // 2 - (d // 2) % 8
+        _row_sums(sq[:half], out)
+        np.add(out, _row_sums(sq[half:], sq[half]), out=out)
+    return out
+
+
+def _greedy_picks(x: np.ndarray, min_d2: np.ndarray, count: int,
+                  first: Optional[int] = None,
+                  weights: Optional[np.ndarray] = None) -> list:
+    """Indices of count rows of x picked greedily to maximize the minimum
+    squared distance, or weights * distance when weights are given.
+
+    min_d2 holds each row's starting minimum squared distance and is updated
+    in place; the first pick is row first when given.  A picked row's min_d2
+    is set to -inf, so it can never win again.  Arithmetic contract: each
+    pick's squared distances are, bit for bit, those of
+    ``((x - x[idx]) ** 2).sum(axis=1)``.  The candidates are transposed once
+    to (d, n), so a pick is contiguous column subtracts and squares, summed
+    in numpy's row-sum order by ``_row_sums``.
+    """
+    xt = np.ascontiguousarray(x.T)
+    work = np.empty_like(xt)
+    row = np.empty(x.shape[0])
+    picks = []
+    for step in range(count):
+        if step == 0 and first is not None:
+            idx = first
+        else:
+            idx = int(np.argmax(_scores(min_d2, weights)))
+        picks.append(idx)
+        np.subtract(xt, xt[:, idx, None], out=work)
+        np.square(work, out=work)
+        np.minimum(min_d2, _row_sums(work, row), out=min_d2)
+        min_d2[idx] = -np.inf
+    return picks
+
+
 def _greedy_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
                 exist_u: np.ndarray, exclude: Optional[Domain] = None) -> np.ndarray:
-    """GreedyFP core over a candidate domain; returns new unit points."""
-    pool = _draw_unit_batch(rng, domain, n * config.scale, exclude)
-    return _select_from_pool(rng, pool, n, exist_u, _density_values(domain, pool),
-                             first_random=len(exist_u) == 0)
+    """GreedyFP and hybrid core over a candidate domain; returns new unit
+    points.  An n*scale candidate pool is drawn, and redrawn after every
+    refresh_count picks (never when refresh_count is None).  With nothing
+    to score against, the first pick is random, weighted by density when
+    there is one."""
+    selected = []
+    while len(selected) < n:
+        pool = _draw_unit_batch(rng, domain, n * config.scale, exclude)
+        scored = np.vstack([exist_u, *selected]) if selected else exist_u
+        density_vals = _density_values(domain, pool)
+        first = None
+        if len(scored) == 0:
+            first = (rng.integers(len(pool)) if density_vals is None
+                     else _density_draw_index(rng, density_vals))
+        count = min(config.refresh_count or n, n - len(selected))
+        picks = _greedy_picks(pool, min_squared_dists(pool, scored), count, first, density_vals)
+        selected.extend(pool[picks])
+    return np.asarray(selected)
 
 
 def greedy_fp(domain: Domain, n: int, rng: RngState, config: FpConfig = FpConfig(scale=10),
@@ -580,44 +658,8 @@ def greedy_fp(domain: Domain, n: int, rng: RngState, config: FpConfig = FpConfig
     if config.scale is None or config.scale < 1:
         raise ValueError("greedy_fp requires scale >= 1")
     exist_u = _existing_unit(domain, existing)
-    return _assemble(domain, existing, _greedy_new(rng, domain, n, config, exist_u))
-
-
-def _select_from_pool(rng, pool, n, exist_u, density_vals, first_random):
-    """Greedy max-min selection of n pool members against exist_u plus the
-    running selection.  Selected members leave the pool."""
-    if n > pool.shape[0]:
-        raise SamplingError("candidate pool exhausted before the requested count")
-    selected = []
-    min_d2 = min_squared_dists(pool, exist_u)
-    work = np.empty_like(pool)
-    row = np.empty(pool.shape[0])
-
-    def take(idx):
-        selected.append(pool[idx])
-        np.subtract(pool, pool[idx], out=work)
-        np.einsum("ij,ij->i", work, work, out=row)
-        np.minimum(min_d2, row, out=min_d2)
-        # Removing the candidate from the pool: -inf can never win an argmax.
-        min_d2[idx] = -np.inf
-
-    if first_random:
-        if density_vals is not None:
-            take(_density_draw_index(rng, density_vals))
-        else:
-            take(rng.integers(pool.shape[0]))
-    if density_vals is None:
-        while len(selected) < n:
-            take(int(np.argmax(min_d2)))
-    else:
-        available = np.ones(pool.shape[0], dtype=bool)
-        available[np.isneginf(min_d2)] = False  # already-taken first pick
-        while len(selected) < n:
-            scores = np.where(available, density_vals * np.sqrt(np.maximum(min_d2, 0.0)), -np.inf)
-            idx = int(np.argmax(scores))
-            available[idx] = False
-            take(idx)
-    return np.asarray(selected)
+    greedy = FpConfig(scale=config.scale)
+    return _assemble(domain, existing, _greedy_new(rng, domain, n, greedy, exist_u))
 
 
 def _bc_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
@@ -661,23 +703,6 @@ def best_candidate(domain: Domain, n: int, rng: RngState,
     return _assemble(domain, existing, _bc_new(rng, domain, n, config, exist_u))
 
 
-def _hybrid_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
-                exist_u: np.ndarray, exclude: Optional[Domain] = None) -> np.ndarray:
-    """Hybrid core: greedy pool selection with periodic pool regeneration."""
-    selected = []
-    taken = 0
-    while taken < n:
-        pool = _draw_unit_batch(rng, domain, n * config.scale, exclude)
-        scored = np.vstack([exist_u, *selected]) if selected else exist_u
-        batch_n = min(config.refresh_count, n - taken)
-        selected.extend(_select_from_pool(
-            rng, pool, batch_n, scored, _density_values(domain, pool),
-            first_random=(len(exist_u) == 0 and taken == 0),
-        ))
-        taken += batch_n
-    return np.asarray(selected)
-
-
 def hybrid_bc_fp(domain: Domain, n: int, rng: RngState,
                  config: FpConfig = FpConfig(scale=10, refresh_count=100),
                  existing: Optional[SampleSet] = None) -> SampleSet:
@@ -694,7 +719,7 @@ def hybrid_bc_fp(domain: Domain, n: int, rng: RngState,
     if config.refresh_count is None or config.refresh_count < 1:
         raise ValueError("hybrid requires refresh_count >= 1")
     exist_u = _existing_unit(domain, existing)
-    return _assemble(domain, existing, _hybrid_new(rng, domain, n, config, exist_u))
+    return _assemble(domain, existing, _greedy_new(rng, domain, n, config, exist_u))
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +830,7 @@ def _new_points(algorithm: str, rng: RngState, domain: Domain, n: int,
     p = _merged(algorithm, params)
     if algorithm == "random":
         return _draw_unit_batch(rng, domain, n, exclude)
-    core = {"greedyfp": _greedy_new, "bc": _bc_new, "hybrid": _hybrid_new}[algorithm]
+    core = _bc_new if algorithm == "bc" else _greedy_new
     return core(rng, domain, n, _fp_config(algorithm, p), exist_u, exclude)
 
 

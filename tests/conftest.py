@@ -74,6 +74,47 @@ def brute_cl2(points):
     return math.sqrt(term1 - term2 + term3)
 
 
+def brute_cl2_chunked(x, chunk=256):
+    """The chunked CL2 that reduces each (chunk, n, d) block with
+    prod(axis=2): the bit-level reference for cl2_discrepancy."""
+    n, d = x.shape
+    a = np.abs(x - 0.5)
+    term1 = (13.0 / 12.0) ** d
+    term2 = (2.0 / n) * np.prod(1.0 + 0.5 * (a - a * a), axis=1).sum()
+
+    # Double sum, chunked over rows to bound the (chunk, n, d) temporaries.
+    total = 0.0
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        cross = np.abs(x[start:stop, None, :] - x[None, :, :])
+        block = 1.0 + 0.5 * (a[start:stop, None, :] + a[None, :, :] - cross)
+        total += block.prod(axis=2).sum()
+    term3 = total / (n * n)
+
+    return float(np.sqrt(term1 - term2 + term3))
+
+
+def brute_greedy_picks(x, min_d2, count, first, weights=None):
+    """Greedy max-min picks with row-sum distances; with weights, the
+    available-mask scoring density * distance.  Returns (picks, min_d2)."""
+    min_d2 = min_d2.copy()
+    available = np.ones(len(x), dtype=bool)
+    picks = []
+    for step in range(count):
+        if step == 0 and first is not None:
+            idx = first
+        elif weights is None:
+            idx = int(np.argmax(min_d2))
+        else:
+            scores = np.where(available, weights * np.sqrt(np.maximum(min_d2, 0.0)), -np.inf)
+            idx = int(np.argmax(scores))
+        picks.append(idx)
+        available[idx] = False
+        min_d2 = np.minimum(min_d2, ((x - x[idx]) ** 2).sum(axis=1))
+        min_d2[idx] = -np.inf
+    return picks, min_d2
+
+
 def brute_latinize(sample_set, rng):
     """Per-coordinate Latinization loop: one scalar draw per value that sits
     outside its rank's bin, in ascending rank order per dimension."""

@@ -14,6 +14,8 @@ from spacefill.core import (
     nearest_neighbor_distances,
 )
 
+from conftest import brute_greedy_picks
+
 
 class TestDensityWeightedSelect:
     def test_constant_density_matches_unweighted(self):
@@ -43,6 +45,13 @@ class TestDensityWeightedSelect:
     def test_all_zero_densities_error(self):
         with pytest.raises(SamplingError):
             sf.density_weighted_select([[0.1], [0.2]], [[0.5]], lambda p: 0.0, RngState(0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_density_error(self, bad):
+        dens = lambda p: bad if p[0] < 0.15 else 1.0
+        with pytest.raises(SamplingError) as err:
+            sf.density_weighted_select([[0.1], [0.2]], [[0.5]], dens, RngState(0))
+        assert str(err.value) == "density returned a non-finite value"
 
     def test_empty_selection_draws_weighted(self):
         # winner drawn among candidates, weighted by density; deterministic per seed
@@ -77,6 +86,19 @@ class TestRejectionSampleDensity:
     def test_requires_density(self, unit2):
         with pytest.raises(ValueError):
             sf.rejection_sample_density(unit2, 5, RngState(55))
+
+    def test_all_nan_density_raises_at_once(self):
+        calls = []
+
+        def dens(p):
+            calls.append(p)
+            return float("nan")
+
+        d = Domain.unit(2, density=dens, density_max=1.0)
+        with pytest.raises(SamplingError) as err:
+            sf.rejection_sample_density(d, 5, RngState(55))
+        assert str(err.value) == "density returned a non-finite value nan"
+        assert len(calls) == 1
 
 
 class TestIncrementalAdd:
@@ -360,4 +382,26 @@ class TestGreedyPicks:
             ref_d2 = np.minimum(ref_d2, ((x - x[idx]) ** 2).sum(axis=1))
             ref_d2[idx] = -np.inf
         assert picks == ref
+        assert min_d2.tobytes() == ref_d2.tobytes()
+
+
+class TestGreedyPicksWide:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([*range(13, 25), 129, 200]), st.integers(1, 60),
+           st.booleans(), st.data())
+    def test_matches_row_sum_bitwise(self, d, n, weighted, data):
+        """From 8 columns on, the kernel's column adds follow numpy's 8 partial
+        sums, and above 128 columns its pairwise split; with weights, picks
+        are those of density * distance over the rows not yet taken."""
+        rs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rs.random((n, d)) * 10.0 ** rs.integers(-3, 4, size=(1, d))
+        base = rs.random((data.draw(st.integers(0, 5)), d))
+        count = data.draw(st.integers(1, n))
+        first = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        weights = rs.random(n) * (rs.random(n) < 0.8) if weighted else None
+        min_d2 = cdist(x, base, "sqeuclidean").min(axis=1) if len(base) else np.full(n, np.inf)
+        if weighted and first is None and not len(base):
+            first = 0  # keeps 0 * sqrt(inf) = nan out of the first scores
+        ref, ref_d2 = brute_greedy_picks(x, min_d2, count, first, weights)
+        assert _greedy_picks(x, min_d2, count, first, weights) == ref
         assert min_d2.tobytes() == ref_d2.tobytes()

@@ -32,6 +32,14 @@ class TestDomain:
         d = Domain.unit(3)
         assert d.dim == 3 and d.is_unit
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_density_non_finite_rejected(self, bad):
+        d = Domain([0.0], [1.0], density=lambda p: bad, density_max=1.0)
+        from spacefill.core import SamplingError
+        with pytest.raises(SamplingError) as err:
+            d.density_at(np.array([0.5]))
+        assert str(err.value) == f"density returned a non-finite value {bad!r}"
+
     def test_density_bound_enforced(self):
         d = Domain([0.0], [1.0], density=lambda p: 2.0, density_max=1.0)
         from spacefill.core import SamplingError

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spacefill.core import Domain, RngState, SampleSet
 from spacefill.metrics import cl2_discrepancy, nn_stats, phi_p, quality_report
 
-from conftest import brute_cl2, brute_phi_p
+from conftest import brute_cl2, brute_cl2_chunked, brute_phi_p
 
 
 def _set(points, dim=None):
@@ -100,6 +101,30 @@ class TestCl2:
         assert cl2_discrepancy(_set(shuffled)) == pytest.approx(base, rel=1e-12)
         cols = pts[:, rng.permutation(3)]
         assert cl2_discrepancy(_set(cols)) == pytest.approx(base, rel=1e-12)
+
+
+@st.composite
+def cl2_inputs(draw):
+    """n <= 700 points in d <= 16 dimensions, with duplicated rows and shares
+    of coordinates exactly at 0, 0.5 and 1, and a chunk size."""
+    n = draw(st.integers(1, 700))
+    d = draw(st.integers(1, 16))
+    rs = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rs.random((n, d))
+    x[rs.random((n, d)) < draw(st.sampled_from([0.0, 0.2]))] = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    if draw(st.booleans()):
+        x[rs.integers(0, n, size=n // 3)] = x[rs.integers(0, n)]
+    return x, draw(st.sampled_from([1, 7, 256]))
+
+
+class TestCl2Bitwise:
+    @settings(max_examples=60, deadline=None)
+    @given(cl2_inputs())
+    def test_equals_chunked_prod_reference(self, case):
+        """Per-dimension products equal the (chunk, n, d) prod(axis=2)
+        reduction bit for bit."""
+        x, chunk = case
+        assert cl2_discrepancy(_set(x), chunk) == brute_cl2_chunked(x, chunk)
 
 
 class TestQualityReport:

@@ -377,6 +377,11 @@ class TestGreedyFp:
         want = _greedy_oracle(pool.tolist(), 5, s.points[0].tolist())
         assert np.allclose(s.points, want, rtol=0, atol=0)
 
+    def test_refresh_count_ignored(self, unit2):
+        a = sf.greedy_fp(unit2, 20, RngState(29), FpConfig(scale=5, refresh_count=3))
+        b = sf.greedy_fp(unit2, 20, RngState(29), FpConfig(scale=5))
+        assert np.array_equal(a.points, b.points)
+
     def test_existing_prefix_untouched(self, unit2):
         existing = sf.random_sampling(unit2, 10, RngState(29))
         s = sf.greedy_fp(unit2, 5, RngState(30), FpConfig(scale=10), existing=existing)
@@ -433,6 +438,19 @@ class TestHybrid:
     def test_refresh_one_runs(self, unit2):
         s = sf.hybrid_bc_fp(unit2, 10, RngState(37), FpConfig(scale=5, refresh_count=1))
         assert len(s) == 10
+
+
+class TestNonFiniteDensity:
+    """A density that returns NaN on x0 < 0.1 is rejected by every
+    density-weighted sampler, instead of winning (BC) or reading as zero."""
+
+    @pytest.mark.parametrize("algorithm", ["greedyfp", "bc", "hybrid"])
+    def test_nan_region_raises(self, algorithm):
+        dom = Domain.unit(2, density=lambda p: float("nan") if p[0] < 0.1 else 1.0,
+                          density_max=1.0)
+        with pytest.raises(sf.SamplingError) as err:
+            generate(algorithm, dom, 20, RngState(38))
+        assert str(err.value) == "density returned a non-finite value nan"
 
 
 class TestProgressiveCoverage:
