@@ -21,6 +21,7 @@ from .core import (
     RngState,
     SampleSet,
     SamplingError,
+    _array_rows,
     min_squared_dists,
 )
 from . import samplers
@@ -92,7 +93,8 @@ def density_weighted_select(candidates, selected, density: Callable, rng: RngSta
     cands = np.atleast_2d(np.asarray(candidates, dtype=float))
     if cands.shape[0] == 0:
         raise ValueError("candidates must be nonempty")
-    vals = np.array([float(density(c)) for c in cands])
+    vals = _array_rows(density, cands)
+    vals = np.array([float(density(c)) for c in cands]) if vals is None else vals.astype(float)
     if not np.all(np.isfinite(vals)):
         raise SamplingError("density returned a non-finite value")
     if np.any(vals < 0):
@@ -178,8 +180,7 @@ def expand_domain(existing: SampleSet, new_domain: Domain, m: int, algorithm: st
     if not _box_contains(new_domain, old):
         keep = new_domain.contains(existing.points)
         if new_domain.viability is not None:
-            viable = np.array([bool(new_domain.viability(p)) for p in existing.points])
-            keep &= viable
+            keep &= new_domain.viable(existing.points)
         kept = existing.points[keep]
         return SampleSet(new_domain, kept, frozen_count=kept.shape[0])
     if m < 0:

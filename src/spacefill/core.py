@@ -50,6 +50,23 @@ def _as_bounds(v, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _has_array_form(fn) -> bool:
+    """Whether a viability or density callable carries a ``batch`` form."""
+    return getattr(fn, "batch", None) is not None
+
+
+def _array_rows(fn, points: np.ndarray) -> Optional[np.ndarray]:
+    """One call of fn's array form on an (m, d) array, or None when fn has
+    none.  The result must hold one value per row."""
+    if not _has_array_form(fn):
+        return None
+    out = np.asarray(fn.batch(points))
+    if out.shape != (len(points),):
+        raise ValueError(f"batch form returned shape {out.shape} for {len(points)} points; "
+                         f"expected ({len(points)},)")
+    return out
+
+
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned box, optionally restricted by a viability predicate and
@@ -68,8 +85,18 @@ class Domain:
     density : callable, optional
         Finite, nonnegative weight ``point -> float``; requires ``density_max``.
     density_max : float, optional
-        Declared upper bound of ``density`` over the box.  A density value
-        observed above this bound is a contract violation and raises.
+        Declared finite upper bound of ``density`` over the box.  A density
+        value observed above this bound is a contract violation and raises.
+
+    Either callable may carry an opt-in array form as its ``batch``
+    attribute: ``batch(points)`` maps an (m, d) array of points to an (m,)
+    array, the value the callable gives for each row.  When it is present,
+    ``viable`` and ``densities`` call it once per block, and the rejection
+    draws decide a whole peeked block with it.  Outputs and stream positions
+    are those of the per-point form, but the array form may be called on
+    rows past the last one a draw keeps.  Every density value it returns is
+    checked as ``density_at`` checks one.  The per-point form keeps every
+    promise above.  The CLI presets carry array forms.
     """
 
     lower: np.ndarray
@@ -89,6 +116,8 @@ class Domain:
         if self.density is not None:
             if self.density_max is None or not self.density_max > 0:
                 raise ValueError("density requires a positive density_max bound")
+            if not np.isfinite(self.density_max):
+                raise ValueError(f"density_max must be finite, got {self.density_max!r}")
         lower.setflags(write=False)
         upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
@@ -124,10 +153,33 @@ class Domain:
         """Map box coordinates onto the unit cube."""
         return (np.asarray(x) - self.lower) / self.extent
 
+    def viable(self, points: np.ndarray) -> np.ndarray:
+        """Viability of each row of an (m, d) array: one call of the array
+        form when the predicate has one, else one call per row, in order."""
+        ok = _array_rows(self.viability, points)
+        if ok is None:
+            return np.array([bool(self.viability(p)) for p in points], dtype=bool)
+        return ok.astype(bool)
+
+    def densities(self, points: np.ndarray) -> np.ndarray:
+        """``density_at`` of each row of an (m, d) array: one call of the
+        array form when the density has one, else one call per row, in
+        order.  The first offending row, in order, raises its message."""
+        rho = _array_rows(self.density, points)
+        if rho is None:
+            return np.array([self.density_at(p) for p in points], dtype=float)
+        rho = rho.astype(float)
+        bad = np.flatnonzero(~((rho >= 0) & (rho <= self.density_max)))
+        if bad.size:
+            self._checked(float(rho[bad[0]]))
+        return rho
+
     def density_at(self, point: np.ndarray) -> float:
         """Evaluate the density, enforcing the declared upper bound; a
         non-finite or negative value raises too."""
-        rho = float(self.density(point))
+        return self._checked(float(self.density(point)))
+
+    def _checked(self, rho: float) -> float:
         if not np.isfinite(rho):
             raise SamplingError(f"density returned a non-finite value {rho!r}")
         if rho < 0:
@@ -160,9 +212,9 @@ class SampleSet:
         if not domain.contains(pts).all():
             raise ValueError("all points must lie inside the domain box")
         if domain.viability is not None:
-            for i, p in enumerate(pts):
-                if not domain.viability(p):
-                    raise ValueError(f"point {i} violates the viability predicate")
+            bad = np.flatnonzero(~domain.viable(pts))
+            if bad.size:
+                raise ValueError(f"point {bad[0]} violates the viability predicate")
         if not 0 <= frozen_count <= len(pts):
             raise ValueError("frozen_count out of range")
         pts.setflags(write=False)

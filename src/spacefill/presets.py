@@ -17,14 +17,27 @@ def _gauss_center(p: np.ndarray) -> float:
     return float(np.exp(-20.0 * r2))
 
 
+def _parabola(x0):
+    """x2 on the parabola x2 = 3*(x1 - 0.5)^2; squared as c * c, which
+    rounds alike for a scalar and an array (a scalar ``** 2`` may not)."""
+    c = x0 - 0.5
+    return 3.0 * (c * c)
+
+
 def _parabola_above(p: np.ndarray) -> bool:
     """Region above the parabola x2 = 3*(x1 - 0.5)^2 (dims 0 and 1)."""
-    return bool(p[1] >= 3.0 * (p[0] - 0.5) ** 2)
+    return bool(p[1] >= _parabola(p[0]))
 
 
 def _parabola_below(p: np.ndarray) -> bool:
     """Region below the parabola x2 = 3*(x1 - 0.5)^2 (dims 0 and 1)."""
-    return bool(p[1] <= 3.0 * (p[0] - 0.5) ** 2)
+    return bool(p[1] <= _parabola(p[0]))
+
+
+# Array forms, (m, d) -> (m,): the same arithmetic on every row at once.
+_gauss_center.batch = lambda p: np.exp(-20.0 * ((np.asarray(p) - 0.5) ** 2).sum(axis=1))
+_parabola_above.batch = lambda p: p[:, 1] >= _parabola(p[:, 0])
+_parabola_below.batch = lambda p: p[:, 1] <= _parabola(p[:, 0])
 
 
 # name -> (density callable, declared maximum over the unit cube)

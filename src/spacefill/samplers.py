@@ -29,6 +29,7 @@ from .core import (
     SamplingError,
     min_squared_dists,
     squared_distance_matrix,
+    _has_array_form,
 )
 
 __all__ = [
@@ -146,30 +147,85 @@ class FpConfig:
 # candidates come only from the added shell.
 # ---------------------------------------------------------------------------
 
+def _peek_hits(rng: RngState, rows: int, width: int, want: int, misses: int, hit):
+    """Scan a peeked block of rows the way a per-row rejection loop would.
+
+    A (rows, width) block of uniforms is peeked, which leaves the stream
+    where it was, and hit maps it to one bool per row.  The loop stops after
+    the want-th hit row, or at the REJECTION_CAP-th consecutive miss,
+    counting the run of misses carried in from earlier blocks.  Returns
+    (block, hits, stop, misses): the indices of the hit rows before the
+    stop, the number of rows examined, and the run of misses at the stop,
+    which equals REJECTION_CAP when the cap ended the scan.  The caller
+    consumes the rows it examined with one draw.
+    """
+    block = rng._peek((rows, width))
+    idx = np.flatnonzero(hit(block))
+    if misses + rows >= REJECTION_CAP:  # a run of misses may reach the cap here
+        # gaps[j] misses precede hit j; the last entry trails the last hit.
+        gaps = np.diff(idx, prepend=-1 - misses, append=rows) - 1
+        capped = np.flatnonzero(gaps[:want] >= REJECTION_CAP)
+        if capped.size:
+            j = int(capped[0])
+            last = int(idx[j - 1]) if j else -1 - misses
+            return block, idx[:j], last + REJECTION_CAP + 1, REJECTION_CAP
+    if idx.size >= want:
+        return block, idx[:want], int(idx[want - 1]) + 1, 0
+    return block, idx, rows, (rows - 1 - int(idx[-1]) if idx.size else misses + rows)
+
+
+def _draw_hits(rng: RngState, count: int, width: int, hit, message: str) -> np.ndarray:
+    """The first count hit rows of width uniforms each, drawn by
+    ``_peek_hits``; the stream moves past exactly the rows examined, as with
+    one draw per row.  REJECTION_CAP consecutive misses raise
+    RegionTooSmallError(message)."""
+    out = np.empty((count, width))
+    kept = drawn = misses = 0
+    while kept < count:
+        need = count - kept
+        # Twice the rows the hit rate so far predicts; the cap bounds a
+        # block's memory.
+        rows = min(2 * need * (drawn + 1) // (kept + 1) + 64, 1 << 14)
+        block, hits, stop, misses = _peek_hits(rng, rows, width, need, misses, hit)
+        rng.random((stop, width))
+        if misses == REJECTION_CAP:
+            raise RegionTooSmallError(message)
+        out[kept:kept + len(hits)] = block[hits]
+        kept += len(hits)
+        drawn += stop
+    return out
+
+
 def _draw_unit_batch(rng: RngState, domain: Domain, count: int,
                      exclude: Optional[Domain] = None) -> np.ndarray:
     """(count, d) unit points drawn uniformly, keeping those that the
     domain's viability accepts and that lie outside the excluded box.
 
-    Stream contract: a block of candidate rows is peeked, which leaves the
-    stream where it was.  The viability is called on each row in draw order
-    until count rows are kept, and then exactly the rows examined are
-    consumed with one draw.  So the viability gets the same calls, on the
-    same points and in the same order, as with one draw per candidate, and
-    never a call past the last row kept; the output and the stream position
-    are those of per-candidate draws.  An unconstrained draw takes one
-    batched draw, which consumes the stream identically.  REJECTION_CAP
-    consecutive rejections raise RegionTooSmallError.
+    Stream contract: the output and the stream position are those of one
+    draw per candidate; an unconstrained draw takes one batched draw, which
+    consumes the stream identically.  REJECTION_CAP consecutive rejections
+    raise RegionTooSmallError.  Without a viability, or with one that has an
+    array form, each peeked block is decided at once.  A per-point
+    viability is called on each row in draw order until count rows are
+    kept, and then exactly the rows examined are consumed with one draw; so
+    it gets the same calls, on the same points and in the same order, as
+    with one draw per candidate, and never a call past the last row kept.
     """
     d = domain.dim
     viability = domain.viability
     if viability is None and exclude is None:
         return rng.random((count, d))
+    message = (f"viability predicate rejected {REJECTION_CAP} consecutive draws; "
+               "region too small")
+    if viability is None or _has_array_form(viability):
+        def hit(u):
+            x = domain.from_unit(u)
+            ok = np.ones(len(x), dtype=bool) if viability is None else domain.viable(x)
+            return ok if exclude is None else ok & ~exclude.contains(x)
+        return _draw_hits(rng, count, d, hit, message)
     out = np.empty((count, d))
     kept = misses = 0
     while kept < count:
-        # Twice the rows still needed fills most requests in one block at
-        # acceptance rates above one half; the cap bounds a block's memory.
         u = rng._peek((min(2 * (count - kept) + 64, 1 << 14), d))
         x = domain.from_unit(u)
         if exclude is None:
@@ -179,7 +235,7 @@ def _draw_unit_batch(rng: RngState, domain: Domain, count: int,
         hits = []
         for i in range(len(x)):
             # The viability sees every drawn row, inside the excluded box too.
-            if (viability is None or viability(x[i])) and outside[i]:
+            if viability(x[i]) and outside[i]:
                 hits.append(i)
                 misses = 0
                 if kept + len(hits) == count:
@@ -188,8 +244,7 @@ def _draw_unit_batch(rng: RngState, domain: Domain, count: int,
                 misses += 1
                 if misses == REJECTION_CAP:
                     rng.random((i + 1, d))
-                    raise RegionTooSmallError(f"viability predicate rejected {REJECTION_CAP} "
-                                              "consecutive draws; region too small")
+                    raise RegionTooSmallError(message)
         out[kept:kept + len(hits)] = rng.random((i + 1, d))[hits]
         kept += len(hits)
     return out
@@ -201,12 +256,22 @@ def _draw_unit_density(rng: RngState, domain: Domain, count: int,
 
     Per point: draw coordinates, apply the viability and the excluded box,
     then accept with probability density/density_max.  A point costs d+1
-    uniforms per attempt.
+    uniforms per attempt, u and then t; REJECTION_CAP failed attempts in a
+    row raise.  A density with an array form, on a domain without viability
+    and without an excluded box, decides a peeked block of (u, t) rows at
+    once, accepting ``t * density_max <= density(u)``.
     """
-    out = np.empty((count, domain.dim))
+    d = domain.dim
+    message = ("density rejection sampling exceeded the cap; acceptance rate "
+               "below 1e-6 (density_max far too large or density ~ 0)")
+    if domain.viability is None and exclude is None and _has_array_form(domain.density):
+        def hit(rows):
+            return rows[:, d] * domain.density_max <= domain.densities(domain.from_unit(rows[:, :d]))
+        return _draw_hits(rng, count, d + 1, hit, message)[:, :d].copy()
+    out = np.empty((count, d))
     for i in range(count):
         for _ in range(REJECTION_CAP):
-            u = rng.random(domain.dim)
+            u = rng.random(d)
             x = domain.from_unit(u)
             if domain.viability is not None and not domain.viability(x):
                 continue
@@ -217,10 +282,7 @@ def _draw_unit_density(rng: RngState, domain: Domain, count: int,
                 out[i] = u
                 break
         else:
-            raise RegionTooSmallError(
-                "density rejection sampling exceeded the cap; acceptance rate "
-                "below 1e-6 (density_max far too large or density ~ 0)"
-            )
+            raise RegionTooSmallError(message)
     return out
 
 
@@ -235,7 +297,7 @@ def _density_values(domain: Domain, unit_pts: np.ndarray) -> Optional[np.ndarray
     """The density at each unit point, or None when the domain has none."""
     if domain.density is None:
         return None
-    return np.array([domain.density_at(x) for x in domain.from_unit(unit_pts)])
+    return domain.densities(domain.from_unit(unit_pts))
 
 
 def _density_draw_index(rng: RngState, density_vals: np.ndarray) -> int:
@@ -505,14 +567,29 @@ def poisson_disk(domain: Domain, config: PoissonConfig, rng: RngState) -> Sample
 
     Candidates around a randomly chosen active sample are drawn uniformly
     from the annulus [r, 2r] (rejection inside its bounding box) and accepted
-    only when at least r away from every sample generated so far.  A sample
-    retires after n_cand failed candidates; the process ends when the active
-    list empties.  The sample count is an output, not an input; a radius
-    exceeding the box diagonal yields a single sample.
+    only when inside the box, viable and at least r away from every sample
+    generated so far.  A sample retires after n_cand failed candidates; the
+    process ends when the active list empties.  The sample count is an
+    output, not an input; a radius exceeding the box diagonal yields a
+    single sample.  REJECTION_CAP consecutive draws outside the annulus
+    raise SamplingError.
+
+    Stream contract: the output and the stream position are those of one
+    d-value draw per annulus try.  The tries for an active sample are peeked
+    a block at a time and decided at once; a per-point viability is called
+    in order on the candidates inside the box, up to the first one accepted.
     """
     d = domain.dim
     r = config.radius  # unit-scale distance
     r2 = r * r
+    lo, hi = -2.0 * r, 2.0 * r
+    per_point = domain.viability is not None and not _has_array_form(domain.viability)
+
+    def in_annulus(u):
+        v = lo + (hi - lo) * u
+        s = (v * v).sum(axis=1)
+        return (r2 <= s) & (s <= 4.0 * r2)
+
     pts = np.empty((256, d))
     pts[0] = _draw_unit_batch(rng, domain, 1)[0]
     count = 1
@@ -520,38 +597,55 @@ def poisson_disk(domain: Domain, config: PoissonConfig, rng: RngState) -> Sample
     while active:
         pos = rng.integers(len(active))
         base = pts[active[pos]]
-        placed = False
-        for _ in range(config.n_cand):
-            offset = _annulus_offset(rng, r, d)
-            cand = base + offset
-            if np.any(cand < 0.0) or np.any(cand > 1.0):
-                continue
-            if domain.viability is not None and not domain.viability(domain.from_unit(cand)):
-                continue
-            d2 = ((pts[:count] - cand) ** 2).sum(axis=1).min()
-            if d2 >= r2:
+        need, misses = config.n_cand, 0
+        while need:
+            block, hits, stop, misses = _peek_hits(rng, min(2 * need + 64, 1 << 14), d,
+                                                   need, misses, in_annulus)
+            need -= len(hits)
+            cands = base + (lo + (hi - lo) * block[hits])
+            inbox = np.flatnonzero(~(np.any(cands < 0.0, axis=1) | np.any(cands > 1.0, axis=1)))
+            far = _nearest_d2(pts[:count], cands[inbox]) >= r2
+            if domain.viability is None:
+                ok = far
+            elif per_point:  # in order, up to the first candidate accepted
+                ok = np.zeros(len(inbox), dtype=bool)
+                for j, i in enumerate(inbox):
+                    if domain.viability(domain.from_unit(cands[i])) and far[j]:
+                        ok[j] = True
+                        break
+            else:
+                ok = far & domain.viable(domain.from_unit(cands[inbox]))
+            if ok.any():
+                j = inbox[np.argmax(ok)]
+                rng.random((hits[j] + 1, d))
                 if count == pts.shape[0]:
                     pts = np.vstack([pts, np.empty_like(pts)])
-                pts[count] = cand
+                pts[count] = cands[j]
                 active.append(count)
                 count += 1
-                placed = True
                 break
-        if not placed:
+            rng.random((stop, d))
+            if misses == REJECTION_CAP:
+                raise SamplingError("annulus rejection exceeded the cap "
+                                    "(dimension too high for shell sampling)")
+        else:  # n_cand candidates failed
             active.pop(pos)
     return SampleSet(domain, domain.from_unit(pts[:count]))
 
 
-def _annulus_offset(rng: RngState, r: float, d: int) -> np.ndarray:
-    """Uniform point in the spherical shell r <= |v| <= 2r, by rejection from
-    the [-2r, 2r]^d bounding box (dimension-agnostic)."""
-    r2 = r * r
-    for _ in range(REJECTION_CAP):
-        v = rng.uniform(-2.0 * r, 2.0 * r, size=d)
-        s = float((v * v).sum())
-        if r2 <= s <= 4.0 * r2:
-            return v
-    raise SamplingError("annulus rejection exceeded the cap (dimension too high for shell sampling)")
+def _nearest_d2(pts: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """Each candidate's minimum squared distance to pts, with the bits of
+    ``((pts - cand) ** 2).sum(axis=1).min()``.  The differences are laid
+    out (d, candidates * n) and summed by ``_row_sums``, in chunks of
+    candidates that hold about 2**17 values."""
+    d, n = pts.shape[1], pts.shape[0]
+    out = np.empty(len(cands))
+    step = max(1, (1 << 17) // (n * d))
+    for start in range(0, len(cands), step):
+        c = cands[start:start + step]
+        sq = np.square(pts.T[:, None, :] - c.T[:, :, None]).reshape(d, -1)
+        out[start:start + len(c)] = _row_sums(sq, np.empty(sq.shape[1])).reshape(len(c), n).min(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

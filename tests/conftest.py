@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet
+from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet, SamplingError
 from spacefill.samplers import _place_in_bin
 
 
@@ -156,6 +156,60 @@ def brute_draw_unit_batch(rng, domain, count, cap, exclude=None):
         else:
             raise RegionTooSmallError("cap reached")
     return np.array(out).reshape(count, domain.dim)
+
+
+def brute_draw_unit_density(rng, domain, count, cap, exclude=None):
+    """Per-attempt density rejection loop: d uniforms, then the viability
+    and the excluded box, then one more uniform t, accepted when
+    t * density_max <= density; cap failed attempts in a row raise."""
+    out = []
+    for _ in range(count):
+        for _ in range(cap):
+            u = rng.random(domain.dim)
+            x = domain.lower + u * domain.extent
+            if domain.viability is not None and not domain.viability(x):
+                continue
+            if exclude is not None and np.all(x >= exclude.lower) and np.all(x <= exclude.upper):
+                continue
+            if rng.random() * domain.density_max <= domain.density_at(x):
+                out.append(u)
+                break
+        else:
+            raise RegionTooSmallError("cap reached")
+    return np.array(out).reshape(count, domain.dim)
+
+
+def brute_poisson_disk(domain, radius, n_cand, rng, cap):
+    """Poisson disk with one d-value draw per annulus try: around a random
+    active point, each of n_cand candidates is tried in turn (box, then
+    viability, then distance), and cap tries outside the annulus in a row
+    raise SamplingError."""
+    d = domain.dim
+    r2 = radius * radius
+    pts = [brute_draw_unit_batch(rng, domain, 1, cap)[0]]
+    active = [0]
+    while active:
+        pos = rng.integers(len(active))
+        base = pts[active[pos]]
+        for _ in range(n_cand):
+            for _ in range(cap):
+                v = rng.uniform(-2.0 * radius, 2.0 * radius, size=d)
+                if r2 <= float((v * v).sum()) <= 4.0 * r2:
+                    break
+            else:
+                raise SamplingError("annulus cap reached")
+            cand = base + v
+            if np.any(cand < 0.0) or np.any(cand > 1.0):
+                continue
+            if domain.viability is not None and not domain.viability(domain.lower + cand * domain.extent):
+                continue
+            if ((np.array(pts) - cand) ** 2).sum(axis=1).min() >= r2:
+                pts.append(cand)
+                active.append(len(pts) - 1)
+                break
+        else:
+            active.pop(pos)
+    return np.array(pts)
 
 
 def assert_latin(points, n=None):

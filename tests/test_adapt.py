@@ -53,6 +53,27 @@ class TestDensityWeightedSelect:
             sf.density_weighted_select([[0.1], [0.2]], [[0.5]], dens, RngState(0))
         assert str(err.value) == "density returned a non-finite value"
 
+    @pytest.mark.parametrize("selected", [None, [[0.5, 0.5], [0.1, 0.9]]])
+    def test_array_form_matches_per_point(self, selected):
+        cands = RngState(52).random((40, 2))
+        dens = lambda p: float(p[0] + 0.1)  # noqa: E731
+        twin = lambda p: dens(p)  # noqa: E731
+        twin.batch = lambda pts: pts[:, 0] + 0.1
+        got = [sf.density_weighted_select(cands, selected, fn, RngState(9)) for fn in (dens, twin)]
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_array_form_errors_match_per_point(self, bad):
+        messages = []
+        for batch in (False, True):
+            dens = lambda p: bad if p[0] < 0.15 else 1.0  # noqa: E731
+            if batch:
+                dens.batch = lambda pts: np.where(pts[:, 0] < 0.15, bad, 1.0)
+            with pytest.raises(SamplingError) as err:
+                sf.density_weighted_select([[0.1], [0.2]], [[0.5]], dens, RngState(0))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     def test_empty_selection_draws_weighted(self):
         # winner drawn among candidates, weighted by density; deterministic per seed
         cands = [[0.1], [0.5], [0.9]]
@@ -185,6 +206,18 @@ class TestExpandDomain:
         keep = np.all(existing.points <= 0.5, axis=1)
         assert np.array_equal(out.points, existing.points[keep])
         assert out.frozen_count == len(out)
+
+    def test_shrink_with_array_form_viability(self, unit2):
+        existing = sf.random_sampling(unit2, 100, RngState(68))
+        kept = []
+        for batch in (False, True):
+            fn = lambda p: p[0] + p[1] < 0.6  # noqa: E731
+            if batch:
+                fn.batch = lambda pts: pts[:, 0] + pts[:, 1] < 0.6
+            small = Domain([0.0, 0.0], [0.5, 0.5], viability=fn)
+            kept.append(sf.expand_domain(existing, small, 0, "bc", None, RngState(69)).points)
+        inside = np.all(existing.points <= 0.5, axis=1) & (existing.points.sum(axis=1) < 0.6)
+        assert kept[0].tobytes() == kept[1].tobytes() == existing.points[inside].tobytes()
 
     def test_expand_new_points_in_new_region_only(self, unit2):
         existing = sf.best_candidate(unit2, 100, RngState(70), sf.FpConfig(n_cand_fixed=250))

@@ -5,6 +5,7 @@ from spacefill.core import (
     Domain,
     RngState,
     SampleSet,
+    SamplingError,
     derive_seed,
     min_pair,
     nearest_neighbor_distances,
@@ -45,6 +46,83 @@ class TestDomain:
         from spacefill.core import SamplingError
         with pytest.raises(SamplingError):
             d.density_at(np.array([0.5]))
+
+
+    def test_density_max_must_be_finite(self):
+        with pytest.raises(ValueError) as err:
+            Domain.unit(2, density=lambda p: 1.0, density_max=float("inf"))
+        assert str(err.value) == "density_max must be finite, got inf"
+
+
+def _row_valued(table):
+    """A density on [0, 4] whose value at a point is table[int(x0)], as a
+    per-point callable and as its twin with an array form."""
+    def point(p):
+        return table[int(p[0])]
+
+    def twin(p):
+        return point(p)
+    twin.batch = lambda pts: np.array([table[int(x)] for x in pts[:, 0]])
+    return point, twin
+
+
+class TestArrayForms:
+    """Domain.viable and Domain.densities through the array form give the
+    per-point form's values and fail with its messages."""
+
+    PTS = np.array([[0.5], [1.5], [2.5], [3.5]])
+
+    @pytest.mark.parametrize("table", [
+        [0.5, float("nan"), -1.0, 2.0],
+        [0.5, 2.0, float("nan"), -1.0],
+        [0.5, -1.0, 2.0, float("inf")],
+        [0.5, 1.0, 0.0, -float("inf")],
+    ])
+    def test_first_offending_row_message(self, table):
+        messages = []
+        for fn in _row_valued(table):
+            dom = Domain([0.0], [4.0], density=fn, density_max=1.0)
+            with pytest.raises(SamplingError) as err:
+                dom.densities(self.PTS)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_densities_match(self):
+        table = [0.5, 1.0, 0.0, 0.25]
+        a, b = (Domain([0.0], [4.0], density=fn, density_max=1.0).densities(self.PTS)
+                for fn in _row_valued(table))
+        assert a.tobytes() == b.tobytes() == np.array(table).tobytes()
+
+    def test_viable_matches(self):
+        def point(p):
+            return p[0] < 2.0
+        twin = lambda p: point(p)  # noqa: E731
+        twin.batch = lambda pts: pts[:, 0] < 2.0
+        masks = [Domain([0.0], [4.0], viability=fn).viable(self.PTS) for fn in (point, twin)]
+        assert masks[0].tolist() == masks[1].tolist() == [True, True, False, False]
+
+    @pytest.mark.parametrize("shape", [(4, 1), (3,), ()])
+    def test_wrong_shape_rejected(self, shape):
+        fn = lambda p: 0.5  # noqa: E731
+        fn.batch = lambda pts: np.full(shape, 0.5)
+        want = f"batch form returned shape {shape} for 4 points; expected (4,)"
+        with pytest.raises(ValueError) as err:
+            Domain([0.0], [4.0], density=fn, density_max=1.0).densities(self.PTS)
+        assert str(err.value) == want
+        with pytest.raises(ValueError) as err:
+            Domain([0.0], [4.0], viability=fn).viable(self.PTS)
+        assert str(err.value) == want
+
+    def test_sample_set_names_first_failing_point(self):
+        messages = []
+        for batch in (False, True):
+            fn = lambda p: p[0] < 1.0 or p[0] > 3.0  # noqa: E731
+            if batch:
+                fn.batch = lambda pts: (pts[:, 0] < 1.0) | (pts[:, 0] > 3.0)
+            with pytest.raises(ValueError) as err:
+                SampleSet(Domain([0.0], [4.0], viability=fn), self.PTS)
+            messages.append(str(err.value))
+        assert messages == ["point 1 violates the viability predicate"] * 2
 
 
 class TestSampleSet:

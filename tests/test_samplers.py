@@ -7,7 +7,7 @@ from scipy.spatial.distance import cdist, pdist
 
 import spacefill as sf
 from spacefill import samplers
-from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet
+from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet, SamplingError
 from spacefill.samplers import (
     BinPlacement,
     CvtConfig,
@@ -16,10 +16,13 @@ from spacefill.samplers import (
     LhsConfig,
     PoissonConfig,
     _draw_unit_batch,
+    _draw_unit_density,
+    _nearest_d2,
     generate,
 )
 
-from conftest import assert_latin, brute_draw_unit_batch, brute_latinize
+from conftest import (assert_latin, brute_draw_unit_batch, brute_draw_unit_density,
+                      brute_latinize, brute_poisson_disk)
 
 
 @st.composite
@@ -89,6 +92,162 @@ class RecordingFilter:
     def __call__(self, p):
         self.seen.append(np.array(p))
         return p[0] < self.threshold
+
+
+class BatchFilter(RecordingFilter):
+    """RecordingFilter's twin with an array form, which is not recorded."""
+
+    def batch(self, pts):
+        return pts[:, 0] < self.threshold
+
+
+class RecordingDensity:
+    """1 / (1 + |x - 0.3|^2), zero where x0 < edge, keeping a copy of every
+    point it is called on.  The per-point value is the array form's on one
+    row, so both forms give the same bits."""
+
+    def __init__(self, edge):
+        self.edge = edge
+        self.seen = []
+
+    def rows(self, x):
+        return np.where(x[:, 0] < self.edge, 0.0, 1.0 / (1.0 + ((x - 0.3) ** 2).sum(axis=1)))
+
+    def __call__(self, p):
+        self.seen.append(np.array(p))
+        return float(self.rows(np.asarray(p)[None])[0])
+
+
+class BatchDensity(RecordingDensity):
+    """RecordingDensity's twin with an array form, which is not recorded."""
+
+    def batch(self, pts):
+        return self.rows(pts)
+
+
+def _viability(form, threshold):
+    """No viability, or a per-point or array-form threshold filter."""
+    return None if form is None else {"point": RecordingFilter, "array": BatchFilter}[form](threshold)
+
+
+def _run_both(cap, run, ref):
+    """run() with samplers.REJECTION_CAP patched to cap, and ref(); each
+    gives its output, or the type of the error it raised."""
+    old_cap, samplers.REJECTION_CAP = samplers.REJECTION_CAP, cap
+    try:
+        try:
+            out = run()
+        except SamplingError as err:
+            out = type(err)
+    finally:
+        samplers.REJECTION_CAP = old_cap
+    try:
+        want = ref()
+    except SamplingError as err:
+        want = type(err)
+    return out, want
+
+
+def _assert_same(out, want, rng, ref_rng):
+    """The same output bytes (or error type), then the same next draws."""
+    if isinstance(want, type):
+        assert out is want
+    else:
+        assert out.tobytes() == want.tobytes()
+    assert rng.random() == ref_rng.random()
+    assert rng.integers(1000) == ref_rng.integers(1000)
+
+
+def _assert_same_calls(a, b):
+    """A per-point recording callable got the same calls, in order."""
+    if a is not None and not hasattr(a, "batch"):
+        assert len(a.seen) == len(b.seen)
+        assert np.array_equal(np.array(a.seen), np.array(b.seen))
+
+
+def _check_density_draw(d, count, array, top, edge, form, exclude, cap, seed):
+    old_box = Domain(np.zeros(d), np.full(d, 1.5)) if exclude else None
+    domains = [Domain(np.full(d, -1.0), np.full(d, 2.0), _viability(form, 0.5),
+                      (BatchDensity if array else RecordingDensity)(edge), top)
+               for _ in range(2)]
+    rng, ref_rng = RngState(seed), RngState(seed)
+    out, want = _run_both(cap, lambda: _draw_unit_density(rng, domains[0], count, old_box),
+                          lambda: brute_draw_unit_density(ref_rng, domains[1], count, cap, old_box))
+    _assert_same(out, want, rng, ref_rng)
+    _assert_same_calls(domains[0].density, domains[1].density)
+    _assert_same_calls(domains[0].viability, domains[1].viability)
+
+
+# Caps 1-40 end scans inside a block; 41-400 also run blocks whose miss run
+# cannot reach the cap, carrying it into the next.
+CAPS = st.one_of(st.integers(1, 40), st.integers(41, 400))
+
+
+class TestBlockDraws:
+    """Every rejection loop that decides peeked blocks at once, against the
+    per-candidate loop it replaces: the same output, the same next draws,
+    and, for a per-point callable, the same calls in order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 300), st.sampled_from([None, "point", "array"]),
+           st.sampled_from([-0.95, 0.03, 0.5, 2.5]), st.booleans(), CAPS,
+           st.integers(0, 2**63 - 1))
+    def test_draw_unit_batch(self, d, count, form, threshold, exclude, cap, seed):
+        old_box = Domain(np.zeros(d), np.full(d, 1.5)) if exclude else None
+        domains = [Domain(np.full(d, -1.0), np.full(d, 2.0), _viability(form, threshold))
+                   for _ in range(2)]
+        rng, ref_rng = RngState(seed), RngState(seed)
+        out, want = _run_both(cap, lambda: _draw_unit_batch(rng, domains[0], count, old_box),
+                              lambda: brute_draw_unit_batch(ref_rng, domains[1], count, cap, old_box))
+        _assert_same(out, want, rng, ref_rng)
+        _assert_same_calls(domains[0].viability, domains[1].viability)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 100), st.sampled_from([1.0, 2.0, 8.0]),
+           st.sampled_from([-1.0, 0.5, 1.5]), CAPS, st.integers(0, 2**63 - 1))
+    def test_draw_unit_density_blocks(self, d, count, top, edge, cap, seed):
+        """The block path: an array-form density, no viability, no excluded box."""
+        _check_density_draw(d, count, True, top, edge, None, False, cap, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 100), st.booleans(),
+           st.sampled_from([1.0, 2.0, 8.0]), st.sampled_from([-1.0, 0.5, 1.5]),
+           st.sampled_from([None, "point", "array"]), st.booleans(), CAPS,
+           st.integers(0, 2**63 - 1))
+    def test_draw_unit_density(self, d, count, array, top, edge, form, exclude, cap, seed):
+        _check_density_draw(d, count, array, top, edge, form, exclude, cap, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 30), st.sampled_from([None, "point", "array"]),
+           st.sampled_from([0.0, 1.0, 2.5]), CAPS, st.integers(0, 2**63 - 1))
+    def test_poisson_disk(self, d, n_cand, form, threshold, cap, seed):
+        radius = [0.05, 0.15, 0.3, 0.4, 0.5, 0.6][d - 1]
+        domains = [Domain(np.full(d, -1.0), np.full(d, 2.0), _viability(form, threshold))
+                   for _ in range(2)]
+        rng, ref_rng = RngState(seed), RngState(seed)
+        cfg = PoissonConfig(radius=radius, n_cand=n_cand)
+        out, want = _run_both(
+            cap, lambda: sf.poisson_disk(domains[0], cfg, rng).points,
+            lambda: SampleSet(domains[1], domains[1].from_unit(
+                brute_poisson_disk(domains[1], radius, n_cand, ref_rng, cap))).points)
+        _assert_same(out, want, rng, ref_rng)
+        _assert_same_calls(domains[0].viability, domains[1].viability)
+
+    def test_poisson_disk_wide(self):
+        """d = 8, where the annulus test's row sums are pairwise."""
+        dom = Domain.unit(8)
+        rng, ref_rng = RngState(8), RngState(8)
+        out = sf.poisson_disk(dom, PoissonConfig(radius=0.4, n_cand=5), rng).points
+        want = brute_poisson_disk(dom, 0.4, 5, ref_rng, samplers.REJECTION_CAP)
+        assert len(out) > 300
+        _assert_same(out, want, rng, ref_rng)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 20, 130])
+    def test_nearest_d2_matches_row_sums(self, d):
+        rs = np.random.default_rng(d)
+        pts, cands = rs.random((300, d)), rs.random((45, d))
+        want = [((pts - c) ** 2).sum(axis=1).min() for c in cands]
+        assert _nearest_d2(pts, cands).tobytes() == np.array(want).tobytes()
 
 
 class TestDrawUnitBatch:
@@ -451,6 +610,36 @@ class TestNonFiniteDensity:
         with pytest.raises(sf.SamplingError) as err:
             generate(algorithm, dom, 20, RngState(38))
         assert str(err.value) == "density returned a non-finite value nan"
+
+
+class TestArrayFormErrors:
+    """Through each sampler path, a bad value of an array-form density
+    fails with the per-point form's message, and a wrong shape raises."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, 2.0])
+    @pytest.mark.parametrize("run", ["rejection", "greedyfp", "bc", "cvt"])
+    def test_density_messages(self, bad, run):
+        messages = []
+        for batch in (False, True):
+            fn = lambda p: bad if p[0] < 0.3 else 0.5  # noqa: E731
+            if batch:
+                fn.batch = lambda pts: np.where(pts[:, 0] < 0.3, bad, 0.5)
+            dom = Domain.unit(2, density=fn, density_max=1.0)
+            with pytest.raises(SamplingError) as err:
+                if run == "rejection":
+                    sf.rejection_sample_density(dom, 50, RngState(3))
+                else:
+                    generate(run, dom, 20, RngState(3), {"niter": 2, "ppi": 100} if run == "cvt" else None)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("algorithm", ["random", "poisson"])
+    def test_wrong_viability_shape(self, algorithm):
+        fn = lambda p: True  # noqa: E731
+        fn.batch = lambda pts: np.ones((len(pts), 1), dtype=bool)
+        dom = Domain.unit(2, viability=fn)
+        with pytest.raises(ValueError, match=r"batch form returned shape \(\d+, 1\)"):
+            generate(algorithm, dom, None if algorithm == "poisson" else 5, RngState(4))
 
 
 class TestProgressiveCoverage:
