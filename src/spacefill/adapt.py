@@ -22,6 +22,7 @@ from .core import (
     SampleSet,
     SamplingError,
     _array_rows,
+    _outside,
     min_squared_dists,
 )
 from . import samplers
@@ -191,7 +192,7 @@ def expand_domain(existing: SampleSet, new_domain: Domain, m: int, algorithm: st
         f"expand-domain:{m}:{new_domain.lower.tolist()}:{new_domain.upper.tolist()}"
     )
     exist_u = samplers._existing_unit(new_domain, existing)
-    new_unit = samplers._new_points(algorithm, child, new_domain, m, params, exist_u, exclude=old)
+    new_unit = samplers._new_points(algorithm, child, _outside(old, new_domain), m, params, exist_u)
     return samplers._assemble(new_domain, existing, new_unit)
 
 

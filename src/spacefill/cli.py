@@ -288,6 +288,12 @@ def _build_domain(dim: int, lower, upper, density_name, viability_name) -> Domai
 
 _CONFIG_KEYS = {"schemaVersion", "algorithm", "dim", "n", "seed", "domain",
                 "params", "latinize", "density", "viability"}
+# The JSON type of each config value; null reads as absent.
+_CONFIG_TYPES = {"algorithm": (str, "a string"), "density": (str, "a string"),
+                 "viability": (str, "a string"), "dim": (int, "an integer"),
+                 "n": (int, "an integer"), "seed": (int, "an integer"),
+                 "params": (dict, "an object"), "latinize": (bool, "a boolean"),
+                 "domain": (dict, "an object with keys lower/upper")}
 
 
 def _load_run_config(path: str) -> dict:
@@ -303,10 +309,25 @@ def _load_run_config(path: str) -> dict:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     if cfg.get("schemaVersion", 1) != 1:
         raise CliError("unsupported config schemaVersion (expected 1)")
-    dom = cfg.get("domain", {})
-    if dom and (not isinstance(dom, dict) or set(dom) - {"lower", "upper"}):
+    for key, (kind, name) in _CONFIG_TYPES.items():
+        value = cfg.get(key)
+        if value is not None and (not isinstance(value, kind) or kind is int and isinstance(value, bool)):
+            raise CliError(f"config {key} must be {name}")
+    dom = cfg.get("domain") or {}
+    if set(dom) - {"lower", "upper"}:
         raise CliError("config domain must be an object with keys lower/upper")
+    for key, value in dom.items():
+        if not _is_numbers(value):
+            raise CliError(f"config domain {key} must be a list of numbers")
+    for key, value in (cfg.get("params") or {}).items():
+        # Values a --params entry can give, and per-dimension bins.
+        if not (isinstance(value, (int, float, str)) or key == "bins" and _is_numbers(value)):
+            raise CliError(f"config params {key} must be a number or a string")
     return cfg
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
 
 
 def _out_stream(args):
@@ -341,9 +362,9 @@ def cmd_generate(args) -> int:
     if args.seed is None and "seed" in cfg:
         args.seed = cfg["seed"]
     seed = _resolve_seed(args)
-    params = dict(cfg.get("params", {}))
+    params = dict(cfg.get("params") or {})
     params.update(_parse_params(args.params))
-    dom_cfg = cfg.get("domain", {})
+    dom_cfg = cfg.get("domain") or {}
     lower = args.lower or (",".join(map(str, dom_cfg["lower"])) if "lower" in dom_cfg else None)
     upper = args.upper or (",".join(map(str, dom_cfg["upper"])) if "upper" in dom_cfg else None)
     density = args.density or cfg.get("density")
@@ -437,9 +458,11 @@ def cmd_bench(args) -> int:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise CliError(f"cannot read spec {args.spec}: {err}") from None
+        if not isinstance(doc, dict):
+            raise CliError("spec must be a JSON object")
         if doc.get("schemaVersion", 1) != 1:
             raise CliError("unsupported spec schemaVersion (expected 1)")
-        raw = doc["experiments"] if isinstance(doc, dict) and "experiments" in doc else [doc]
+        raw = doc["experiments"] if "experiments" in doc else [doc]
         try:
             specs = [bench.ExperimentSpec.from_dict(d) for d in raw]
         except (KeyError, ValueError, TypeError) as err:
@@ -484,9 +507,10 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def render_scatter_svg(xy: np.ndarray, split: int, size: int = 640, margin: int = 40) -> str:
-    """Standalone SVG scatter; points before index ``split`` get the first
-    color, the rest the second."""
+def render_scatter_svg(xy: np.ndarray, split: int) -> str:
+    """Standalone 640-pixel SVG scatter; points before index ``split`` get
+    the first color, the rest the second."""
+    size, margin = 640, 40
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)

@@ -191,6 +191,20 @@ class Domain:
         return rho
 
 
+def _outside(old: Domain, new: Domain) -> Domain:
+    """The region domain expansion adds: new's box and density, viable where
+    new's viability holds (called first, on every candidate, inside the old
+    box too) and outside old's closed box.  It has an array form exactly
+    when new's viability is None or has one."""
+    inner = new.viability
+
+    def viability(x):
+        return (inner is None or bool(inner(x))) and not old.contains(x)[0]
+    if inner is None or _has_array_form(inner):
+        viability.batch = lambda x: (inner is None or new.viable(x)) & ~old.contains(x)
+    return Domain(new.lower, new.upper, viability, new.density, new.density_max)
+
+
 class SampleSet:
     """Ordered, immutable sequence of d-dimensional points in a domain.
 
@@ -306,8 +320,7 @@ def squared_distance_matrix(points: np.ndarray) -> np.ndarray:
     return d2
 
 
-def min_squared_dists(candidates: np.ndarray, selected: np.ndarray,
-                      chunk: int = 256) -> np.ndarray:
+def min_squared_dists(candidates: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """Per-candidate minimum squared distance to the selected points.
 
     Chunked over candidate rows so the distance blocks stay cache-resident;
@@ -315,6 +328,7 @@ def min_squared_dists(candidates: np.ndarray, selected: np.ndarray,
     """
     if selected.shape[0] == 0:
         return np.full(candidates.shape[0], np.inf)
+    chunk = 256
     out = np.empty(candidates.shape[0])
     for start in range(0, candidates.shape[0], chunk):
         stop = min(start + chunk, candidates.shape[0])

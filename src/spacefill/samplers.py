@@ -143,24 +143,24 @@ class FpConfig:
 # ---------------------------------------------------------------------------
 # Candidate generation.  Candidates are drawn in unit coordinates of a
 # Domain; viability and density callables are evaluated at the corresponding
-# domain point.  Domain expansion passes the old box as ``exclude``, so that
-# candidates come only from the added shell.
+# domain point.  Domain expansion draws from ``core._outside``.
 # ---------------------------------------------------------------------------
 
 def _peek_hits(rng: RngState, rows: int, width: int, want: int, misses: int, hit):
     """Scan a peeked block of rows the way a per-row rejection loop would.
 
     A (rows, width) block of uniforms is peeked, which leaves the stream
-    where it was, and hit maps it to one bool per row.  The loop stops after
-    the want-th hit row, or at the REJECTION_CAP-th consecutive miss,
-    counting the run of misses carried in from earlier blocks.  Returns
-    (block, hits, stop, misses): the indices of the hit rows before the
-    stop, the number of rows examined, and the run of misses at the stop,
-    which equals REJECTION_CAP when the cap ended the scan.  The caller
-    consumes the rows it examined with one draw.
+    where it was, and hit(block, want, misses) maps it to one bool per row;
+    rows past where the scan below stops may read either way.  The loop
+    stops after the want-th hit row, or at the REJECTION_CAP-th consecutive
+    miss, counting the run of misses carried in from earlier blocks.
+    Returns (block, hits, stop, misses): the indices of the hit rows before
+    the stop, the number of rows examined, and the run of misses at the
+    stop, which equals REJECTION_CAP when the cap ended the scan.  The
+    caller consumes the rows it examined with one draw.
     """
     block = rng._peek((rows, width))
-    idx = np.flatnonzero(hit(block))
+    idx = np.flatnonzero(hit(block, want, misses))
     if misses + rows >= REJECTION_CAP:  # a run of misses may reach the cap here
         # gaps[j] misses precede hit j; the last entry trails the last hit.
         gaps = np.diff(idx, prepend=-1 - misses, append=rows) - 1
@@ -172,6 +172,20 @@ def _peek_hits(rng: RngState, rows: int, width: int, want: int, misses: int, hit
     if idx.size >= want:
         return block, idx[:want], int(idx[want - 1]) + 1, 0
     return block, idx, rows, (rows - 1 - int(idx[-1]) if idx.size else misses + rows)
+
+
+def _in_order(test, rows, want: int, misses: int) -> np.ndarray:
+    """A ``_peek_hits`` test that calls test(row) in row order up to the
+    want-th hit or the REJECTION_CAP-th consecutive miss, and never past
+    it; rows past the stop read False."""
+    ok = np.zeros(len(rows), dtype=bool)
+    for i, row in enumerate(rows):
+        ok[i] = hit = bool(test(row))
+        misses = 0 if hit else misses + 1
+        want -= hit
+        if not want or misses == REJECTION_CAP:
+            break
+    return ok
 
 
 def _draw_hits(rng: RngState, count: int, width: int, hit, message: str) -> np.ndarray:
@@ -196,86 +210,59 @@ def _draw_hits(rng: RngState, count: int, width: int, hit, message: str) -> np.n
     return out
 
 
-def _draw_unit_batch(rng: RngState, domain: Domain, count: int,
-                     exclude: Optional[Domain] = None) -> np.ndarray:
+def _draw_unit_batch(rng: RngState, domain: Domain, count: int) -> np.ndarray:
     """(count, d) unit points drawn uniformly, keeping those that the
-    domain's viability accepts and that lie outside the excluded box.
+    domain's viability accepts.
 
     Stream contract: the output and the stream position are those of one
     draw per candidate; an unconstrained draw takes one batched draw, which
     consumes the stream identically.  REJECTION_CAP consecutive rejections
-    raise RegionTooSmallError.  Without a viability, or with one that has an
-    array form, each peeked block is decided at once.  A per-point
-    viability is called on each row in draw order until count rows are
-    kept, and then exactly the rows examined are consumed with one draw; so
-    it gets the same calls, on the same points and in the same order, as
-    with one draw per candidate, and never a call past the last row kept.
+    raise RegionTooSmallError.  A viability with an array form decides each
+    peeked block at once.  A per-point viability is called on each row in
+    draw order, so it gets the same calls, on the same points and in the
+    same order, as with one draw per candidate, and never a call past the
+    last row kept.
     """
     d = domain.dim
     viability = domain.viability
-    if viability is None and exclude is None:
+    if viability is None:
         return rng.random((count, d))
-    message = (f"viability predicate rejected {REJECTION_CAP} consecutive draws; "
-               "region too small")
-    if viability is None or _has_array_form(viability):
-        def hit(u):
-            x = domain.from_unit(u)
-            ok = np.ones(len(x), dtype=bool) if viability is None else domain.viable(x)
-            return ok if exclude is None else ok & ~exclude.contains(x)
-        return _draw_hits(rng, count, d, hit, message)
-    out = np.empty((count, d))
-    kept = misses = 0
-    while kept < count:
-        u = rng._peek((min(2 * (count - kept) + 64, 1 << 14), d))
+
+    def hit(u, want, misses):
         x = domain.from_unit(u)
-        if exclude is None:
-            outside = [True] * len(x)
-        else:
-            outside = (~exclude.contains(x)).tolist()
-        hits = []
-        for i in range(len(x)):
-            # The viability sees every drawn row, inside the excluded box too.
-            if viability(x[i]) and outside[i]:
-                hits.append(i)
-                misses = 0
-                if kept + len(hits) == count:
-                    break
-            else:
-                misses += 1
-                if misses == REJECTION_CAP:
-                    rng.random((i + 1, d))
-                    raise RegionTooSmallError(message)
-        out[kept:kept + len(hits)] = rng.random((i + 1, d))[hits]
-        kept += len(hits)
-    return out
+        return domain.viable(x) if _has_array_form(viability) else _in_order(viability, x, want, misses)
+    return _draw_hits(rng, count, d, hit, f"viability predicate rejected {REJECTION_CAP} "
+                      "consecutive draws; region too small")
 
 
-def _draw_unit_density(rng: RngState, domain: Domain, count: int,
-                       exclude: Optional[Domain] = None) -> np.ndarray:
+def _draw_unit_density(rng: RngState, domain: Domain, count: int) -> np.ndarray:
     """(count, d) unit points distributed proportionally to the density.
 
-    Per point: draw coordinates, apply the viability and the excluded box,
-    then accept with probability density/density_max.  A point costs d+1
-    uniforms per attempt, u and then t; REJECTION_CAP failed attempts in a
-    row raise.  A density with an array form, on a domain without viability
-    and without an excluded box, decides a peeked block of (u, t) rows at
-    once, accepting ``t * density_max <= density(u)``.
+    Per point: draw coordinates, apply the viability, then accept with
+    probability density/density_max.  A point costs d+1 uniforms per
+    attempt, u and then t; REJECTION_CAP failed attempts in a row raise.
+    Without a viability, peeked blocks of (u, t) rows are decided as
+    ``t * density_max <= density(u)``: at once for a density with an array
+    form, row by row in draw order for a per-point one.
     """
     d = domain.dim
     message = ("density rejection sampling exceeded the cap; acceptance rate "
                "below 1e-6 (density_max far too large or density ~ 0)")
-    if domain.viability is None and exclude is None and _has_array_form(domain.density):
-        def hit(rows):
-            return rows[:, d] * domain.density_max <= domain.densities(domain.from_unit(rows[:, :d]))
+    if domain.viability is None:
+        def hit(rows, want, misses):
+            if _has_array_form(domain.density):
+                return rows[:, d] * domain.density_max <= domain.densities(domain.from_unit(rows[:, :d]))
+            return _in_order(lambda row: row[d] * domain.density_max
+                             <= domain.density_at(domain.from_unit(row[:d])), rows, want, misses)
         return _draw_hits(rng, count, d + 1, hit, message)[:, :d].copy()
+    # t is drawn only after the viability passes, so an attempt takes d or
+    # d + 1 uniforms: no fixed-width block scan fits.
     out = np.empty((count, d))
     for i in range(count):
         for _ in range(REJECTION_CAP):
             u = rng.random(d)
             x = domain.from_unit(u)
-            if domain.viability is not None and not domain.viability(x):
-                continue
-            if exclude is not None and exclude.contains(x)[0]:
+            if not domain.viability(x):
                 continue
             t = rng.random()
             if t * domain.density_max <= domain.density_at(x):
@@ -286,11 +273,10 @@ def _draw_unit_density(rng: RngState, domain: Domain, count: int,
     return out
 
 
-def _draw_points(rng: RngState, domain: Domain, count: int,
-                 exclude: Optional[Domain] = None) -> np.ndarray:
+def _draw_points(rng: RngState, domain: Domain, count: int) -> np.ndarray:
     if domain.density is not None:
-        return _draw_unit_density(rng, domain, count, exclude)
-    return _draw_unit_batch(rng, domain, count, exclude)
+        return _draw_unit_density(rng, domain, count)
+    return _draw_unit_batch(rng, domain, count)
 
 
 def _density_values(domain: Domain, unit_pts: np.ndarray) -> Optional[np.ndarray]:
@@ -353,8 +339,7 @@ def random_sampling(domain: Domain, n: int, rng: RngState) -> SampleSet:
     return SampleSet(domain, domain.from_unit(_draw_unit_batch(rng, domain, n)))
 
 
-def grid_sampling(domain: Domain, bins_per_dim, mode: GridMode, rng: RngState,
-                  max_cells: int = MAX_GRID_CELLS) -> SampleSet:
+def grid_sampling(domain: Domain, bins_per_dim, mode: GridMode, rng: RngState) -> SampleSet:
     """One point per cell of a regular grid: cell centers (CORNERS mode) or
     one uniform point per cell (STRATIFIED_RANDOM).  N = prod(bins)."""
     bins = np.asarray(bins_per_dim, dtype=int).reshape(-1)
@@ -365,8 +350,8 @@ def grid_sampling(domain: Domain, bins_per_dim, mode: GridMode, rng: RngState,
     if np.any(bins < 1):
         raise ValueError("bins_per_dim entries must be positive")
     n_cells = int(np.prod(bins, dtype=object))
-    if n_cells > max_cells:
-        raise ValueError(f"grid of {n_cells} cells exceeds the maximum {max_cells}")
+    if n_cells > MAX_GRID_CELLS:
+        raise ValueError(f"grid of {n_cells} cells exceeds the maximum {MAX_GRID_CELLS}")
     # Cell order is row-major: the last dimension varies fastest.
     idx = np.indices(tuple(bins)).reshape(domain.dim, -1).T.astype(float)
     if mode is GridMode.CORNERS:
@@ -550,7 +535,8 @@ def cvt_sampling(domain: Domain, n: int, rng: RngState,
     return SampleSet(domain, domain.from_unit(gens))
 
 
-def _nearest_labels(pts: np.ndarray, gens: np.ndarray, chunk: int = 8192) -> np.ndarray:
+def _nearest_labels(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    chunk = 8192
     out = np.empty(pts.shape[0], dtype=int)
     for start in range(0, pts.shape[0], chunk):
         stop = min(start + chunk, pts.shape[0])
@@ -585,7 +571,7 @@ def poisson_disk(domain: Domain, config: PoissonConfig, rng: RngState) -> Sample
     lo, hi = -2.0 * r, 2.0 * r
     per_point = domain.viability is not None and not _has_array_form(domain.viability)
 
-    def in_annulus(u):
+    def in_annulus(u, want, misses):
         v = lo + (hi - lo) * u
         s = (v * v).sum(axis=1)
         return (r2 <= s) & (s <= 4.0 * r2)
@@ -716,7 +702,7 @@ def _greedy_picks(x: np.ndarray, min_d2: np.ndarray, count: int,
 
 
 def _greedy_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
-                exist_u: np.ndarray, exclude: Optional[Domain] = None) -> np.ndarray:
+                exist_u: np.ndarray) -> np.ndarray:
     """GreedyFP and hybrid core over a candidate domain; returns new unit
     points.  An n*scale candidate pool is drawn, and redrawn after every
     refresh_count picks (never when refresh_count is None).  With nothing
@@ -724,7 +710,7 @@ def _greedy_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
     there is one."""
     selected = []
     while len(selected) < n:
-        pool = _draw_unit_batch(rng, domain, n * config.scale, exclude)
+        pool = _draw_unit_batch(rng, domain, n * config.scale)
         scored = np.vstack([exist_u, *selected]) if selected else exist_u
         density_vals = _density_values(domain, pool)
         first = None
@@ -749,7 +735,7 @@ def greedy_fp(domain: Domain, n: int, rng: RngState, config: FpConfig = FpConfig
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if config.scale is None or config.scale < 1:
+    if config.scale is None:
         raise ValueError("greedy_fp requires scale >= 1")
     exist_u = _existing_unit(domain, existing)
     greedy = FpConfig(scale=config.scale)
@@ -757,11 +743,11 @@ def greedy_fp(domain: Domain, n: int, rng: RngState, config: FpConfig = FpConfig
 
 
 def _bc_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
-            exist_u: np.ndarray, exclude: Optional[Domain] = None) -> np.ndarray:
+            exist_u: np.ndarray) -> np.ndarray:
     """Best-candidate core over a candidate domain; returns new unit points."""
     selected = []
     if len(exist_u) == 0:
-        selected.append(_draw_points(rng, domain, 1, exclude)[0])
+        selected.append(_draw_points(rng, domain, 1)[0])
     scored = np.vstack([exist_u, *selected]) if selected else exist_u
     while len(selected) < n:
         i_total = len(exist_u) + len(selected) + 1
@@ -771,7 +757,7 @@ def _bc_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
             n_cand = config.scale * i_total
             if config.max_cand is not None:
                 n_cand = min(n_cand, config.max_cand)
-        batch = _draw_unit_batch(rng, domain, n_cand, exclude)
+        batch = _draw_unit_batch(rng, domain, n_cand)
         min_d2 = min_squared_dists(batch, scored)
         idx = int(np.argmax(_scores(min_d2, _density_values(domain, batch))))
         selected.append(batch[idx])
@@ -808,9 +794,9 @@ def hybrid_bc_fp(domain: Domain, n: int, rng: RngState,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if config.scale is None or config.scale < 1:
+    if config.scale is None:
         raise ValueError("hybrid requires scale >= 1")
-    if config.refresh_count is None or config.refresh_count < 1:
+    if config.refresh_count is None:
         raise ValueError("hybrid requires refresh_count >= 1")
     exist_u = _existing_unit(domain, existing)
     return _assemble(domain, existing, _greedy_new(rng, domain, n, config, exist_u))
@@ -912,10 +898,9 @@ def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
 
 
 def _new_points(algorithm: str, rng: RngState, domain: Domain, n: int,
-                params: Optional[dict], exist_u: np.ndarray,
-                exclude: Optional[Domain] = None) -> np.ndarray:
-    """New unit points by incremental-capable algorithm id, drawn from the
-    domain outside the excluded box (used by the adaptation toolkit)."""
+                params: Optional[dict], exist_u: np.ndarray) -> np.ndarray:
+    """New unit points by incremental-capable algorithm id (used by the
+    adaptation toolkit)."""
     if algorithm not in INCREMENTAL_ALGORITHMS:
         raise ValueError(
             f"algorithm {algorithm!r} cannot add to existing samples; "
@@ -923,9 +908,9 @@ def _new_points(algorithm: str, rng: RngState, domain: Domain, n: int,
         )
     p = _merged(algorithm, params)
     if algorithm == "random":
-        return _draw_unit_batch(rng, domain, n, exclude)
+        return _draw_unit_batch(rng, domain, n)
     core = _bc_new if algorithm == "bc" else _greedy_new
-    return core(rng, domain, n, _fp_config(algorithm, p), exist_u, exclude)
+    return core(rng, domain, n, _fp_config(algorithm, p), exist_u)
 
 
 ALGORITHMS = tuple(TABLE_DEFAULTS)

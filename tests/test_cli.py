@@ -120,6 +120,17 @@ class TestGenerate:
         code, _, err = run_out(capsys, "generate", "--config", str(path))
         assert code == 2 and "mystery" in err
 
+    @pytest.mark.parametrize("entry,message", [
+        ({"domain": {"lower": 5}}, "config domain lower must be a list of numbers"),
+        ({"params": [1, 2]}, "config params must be an object"),
+        ({"n": [3]}, "config n must be an integer"),
+    ], ids=["lower", "params", "n"])
+    def test_config_value_type_exit_2(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"algorithm": "random", "dim": 2, "n": 3, "seed": 1, **entry}))
+        code, _, err = run_out(capsys, "generate", "--config", str(path))
+        assert (code, err) == (2, f"spacefill: {message}\n")
+
 
 class TestPiping:
     @pytest.mark.parametrize("algo,extra", [
@@ -478,6 +489,13 @@ class TestAppendRegion:
 
 
 class TestBench:
+    @pytest.mark.parametrize("doc", [[{"name": "mini"}], "mini"], ids=["array", "string"])
+    def test_spec_not_an_object_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_out(capsys, "bench", "--spec", str(path), "--out", str(tmp_path))
+        assert (code, err) == (2, "spacefill: spec must be a JSON object\n")
+
     def test_custom_spec_writes_reports(self, tmp_path, capsys):
         spec = {
             "schemaVersion": 1,

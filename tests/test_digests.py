@@ -563,3 +563,55 @@ def test_density_expand_digest(name):
 @pytest.mark.parametrize("name", sorted(REJECTION_DENSITY_DIGESTS))
 def test_rejection_density_digest(name):
     assert rejection_density_digest(name) == REJECTION_DENSITY_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# Expansion onto a box with both a viability and a density
+# ---------------------------------------------------------------------------
+
+def _expand_viability_array(p):
+    return _expand_viability(p)
+
+
+_expand_viability_array.batch = lambda x: x[:, 0] + x[:, 1] < 2.2
+
+
+def density_viable_expand_digest(name: str) -> str:
+    """Case names are ``<algo>-<point|array>-<full|empty>``: 25 points
+    added to 30 unit-box points (or to none) in [-0.25, 1.5]^2, weighted by
+    gauss-center and restricted by a per-point or an array-form viability."""
+    algo, form, prefix = name.split("-")
+    viability = _expand_viability if form == "point" else _expand_viability_array
+    u = np.random.default_rng(79).random((30 if prefix == "full" else 0, 2))
+    existing = SampleSet(Domain.unit(2), u, frozen_count=len(u))
+    wider = Domain(np.full(2, -0.25), np.full(2, 1.5), viability=viability,
+                   density=GAUSS, density_max=GAUSS_MAX)
+    rng = RngState(91)
+    params = None if algo == "random" else GENERATE_PARAMS[algo]
+    out = expand_domain(existing, wider, 25, algo, params, rng)
+    return _sha(out.points.tobytes() + _stream_tail(rng))
+
+
+DENSITY_VIABLE_EXPAND_DIGESTS = {
+    "bc-array-empty": "66c47fc5b71ca5ad6beb498a460fd6867b0503aa3320bf946cec849501b1bc11",
+    "bc-array-full": "304524f4101a9d13a90e2a25b4f303a85a2f6e55013e82f8fb622cbbd7ebc8d0",
+    "bc-point-empty": "66c47fc5b71ca5ad6beb498a460fd6867b0503aa3320bf946cec849501b1bc11",
+    "bc-point-full": "304524f4101a9d13a90e2a25b4f303a85a2f6e55013e82f8fb622cbbd7ebc8d0",
+    "greedyfp-array-empty": "01f2d2a218cb36664b081191c2dbbf6b24d9f596935971018519af6335f2891b",
+    "greedyfp-array-full": "5b6931b67d96cbd09beea12771a8c5ddd728c231ae5b8b2e0c214ee54d9741f4",
+    "greedyfp-point-empty": "01f2d2a218cb36664b081191c2dbbf6b24d9f596935971018519af6335f2891b",
+    "greedyfp-point-full": "5b6931b67d96cbd09beea12771a8c5ddd728c231ae5b8b2e0c214ee54d9741f4",
+    "hybrid-array-empty": "97f0eee8d4f4c25e9d029350dc88fd19dd71cf4cc5642ca23854572d1d4664a8",
+    "hybrid-array-full": "69739ea85eacf848cb8a9796e951fc0c7ed0102cbcfa3459ca18e668897f9289",
+    "hybrid-point-empty": "97f0eee8d4f4c25e9d029350dc88fd19dd71cf4cc5642ca23854572d1d4664a8",
+    "hybrid-point-full": "69739ea85eacf848cb8a9796e951fc0c7ed0102cbcfa3459ca18e668897f9289",
+    "random-array-empty": "69e5e95042c7a4d64ccccc8154967c5c5730526939fdeb30929a5faad7c9561b",
+    "random-array-full": "d13027c180f1fc37055011412fa7645b869ecbcd567e3c60d55b0a12c73cc69f",
+    "random-point-empty": "69e5e95042c7a4d64ccccc8154967c5c5730526939fdeb30929a5faad7c9561b",
+    "random-point-full": "d13027c180f1fc37055011412fa7645b869ecbcd567e3c60d55b0a12c73cc69f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSITY_VIABLE_EXPAND_DIGESTS))
+def test_density_viable_expand_digest(name):
+    assert density_viable_expand_digest(name) == DENSITY_VIABLE_EXPAND_DIGESTS[name]

@@ -7,7 +7,7 @@ from scipy.spatial.distance import cdist, pdist
 
 import spacefill as sf
 from spacefill import samplers
-from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet, SamplingError
+from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet, SamplingError, _outside
 from spacefill.samplers import (
     BinPlacement,
     CvtConfig,
@@ -171,7 +171,8 @@ def _check_density_draw(d, count, array, top, edge, form, exclude, cap, seed):
                       (BatchDensity if array else RecordingDensity)(edge), top)
                for _ in range(2)]
     rng, ref_rng = RngState(seed), RngState(seed)
-    out, want = _run_both(cap, lambda: _draw_unit_density(rng, domains[0], count, old_box),
+    shell = _outside(old_box, domains[0]) if exclude else domains[0]
+    out, want = _run_both(cap, lambda: _draw_unit_density(rng, shell, count),
                           lambda: brute_draw_unit_density(ref_rng, domains[1], count, cap, old_box))
     _assert_same(out, want, rng, ref_rng)
     _assert_same_calls(domains[0].density, domains[1].density)
@@ -197,7 +198,8 @@ class TestBlockDraws:
         domains = [Domain(np.full(d, -1.0), np.full(d, 2.0), _viability(form, threshold))
                    for _ in range(2)]
         rng, ref_rng = RngState(seed), RngState(seed)
-        out, want = _run_both(cap, lambda: _draw_unit_batch(rng, domains[0], count, old_box),
+        shell = _outside(old_box, domains[0]) if exclude else domains[0]
+        out, want = _run_both(cap, lambda: _draw_unit_batch(rng, shell, count),
                               lambda: brute_draw_unit_batch(ref_rng, domains[1], count, cap, old_box))
         _assert_same(out, want, rng, ref_rng)
         _assert_same_calls(domains[0].viability, domains[1].viability)
@@ -261,11 +263,12 @@ class TestDrawUnitBatch:
         old_box = Domain(np.zeros(d), np.full(d, 1.5)) if exclude else None
         domains = [Domain(lower, upper, None if threshold is None else RecordingFilter(threshold))
                    for _ in range(2)]
+        shell = _outside(old_box, domains[0]) if exclude else domains[0]
         rng, ref_rng = RngState(seed), RngState(seed)
         old_cap, samplers.REJECTION_CAP = samplers.REJECTION_CAP, cap
         try:
             try:
-                out = _draw_unit_batch(rng, domains[0], count, old_box)
+                out = _draw_unit_batch(rng, shell, count)
             except RegionTooSmallError:
                 out = None
         finally:
@@ -504,9 +507,9 @@ def draw_sizes(monkeypatch):
     sizes = []
     real = samplers._draw_unit_batch
 
-    def recording(rng, domain, count, exclude=None):
+    def recording(rng, domain, count):
         sizes.append(count)
-        return real(rng, domain, count, exclude)
+        return real(rng, domain, count)
 
     monkeypatch.setattr(samplers, "_draw_unit_batch", recording)
     return sizes
