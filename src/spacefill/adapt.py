@@ -232,8 +232,7 @@ def curve_region_sample(region: CurveRegionSpec, n: int, rng: RngState) -> Sampl
 
 
 def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
-                  total_records: Union[int, Callable[[], int], None] = None,
-                  domain: Optional[Domain] = None) -> SampleSet:
+                  total_records: Union[int, Callable[[], int], None] = None) -> SampleSet:
     """Select a max-min-distance subset in a single pass over the records.
 
     The stream is processed in consecutive segments of segment_size records;
@@ -244,6 +243,8 @@ def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
 
     total_records may be an int, a callable returning a running estimate
     (re-evaluated per segment), or None for sized sources (len() is used).
+    The output's domain is the records' bounding box, widened by 0.5 on
+    each side of a dimension where every record has the same value.
     """
     n_subset = config.subset_size
     if total_records is None:
@@ -309,14 +310,10 @@ def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
             f"stream ended with {len(winners)} of {n_subset} selections "
             "(total record estimate was too high)"
         )
-    if domain is None:
-        lo = lows.copy()
-        hi = highs.copy()
-        flat = hi <= lo
-        lo[flat] -= 0.5
-        hi[flat] += 0.5
-        domain = Domain(lo, hi)
-    return SampleSet(domain, np.asarray(winners))
+    flat = highs <= lows
+    lows[flat] -= 0.5
+    highs[flat] += 0.5
+    return SampleSet(Domain(lows, highs), np.asarray(winners))
 
 
 def _as_record(rec, dim) -> np.ndarray:

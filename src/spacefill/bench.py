@@ -17,7 +17,7 @@ from typing import Optional
 
 from .core import Domain, RngState, derive_seed
 from .metrics import quality_report
-from .samplers import generate, latinize
+from .samplers import _merged, generate, latinize
 
 __all__ = [
     "ExperimentSpec",
@@ -67,6 +67,8 @@ class ExperimentSpec:
             raise ValueError("repetitions must be >= 1")
         if not self.methods:
             raise ValueError("methods must be nonempty")
+        for method, params in self.methods:
+            _merged(method, params)  # names only; a bad value fails its cells
 
     def to_dict(self) -> dict:
         return {

@@ -372,13 +372,6 @@ def cmd_generate(args) -> int:
     do_latinize = args.latinize or bool(cfg.get("latinize", False))
 
     domain = _build_domain(dim, lower, upper, density, viability)
-    if algo == "poisson":
-        if n is not None:
-            raise CliError("poisson takes no --n: the sample count is an output")
-    elif algo in ("grid", "stratified"):
-        pass  # n comes from the bins parameter
-    elif n is None:
-        raise CliError("--n is required for this algorithm")
     rng = RngState(seed)
     result = samplers.generate(algo, domain, None if n is None else int(n), rng, params)
     if do_latinize:
@@ -502,6 +495,8 @@ def cmd_plot(args) -> int:
     if not (0 <= i < d and 0 <= j < d) or i == j:
         raise CliError(f"--dims must be two distinct indices below {d}")
     split = args.split if args.split is not None else len(pts)
+    if not 0 <= split <= len(pts):
+        raise CliError(f"--split must lie in [0, {len(pts)}], got {split}")
     svg = render_scatter_svg(pts[:, [i, j]], split)
     Path(args.out).write_text(svg, newline="\n")
     return 0

@@ -590,7 +590,7 @@ def poisson_disk(domain: Domain, config: PoissonConfig, rng: RngState) -> Sample
             need -= len(hits)
             cands = base + (lo + (hi - lo) * block[hits])
             inbox = np.flatnonzero(~(np.any(cands < 0.0, axis=1) | np.any(cands > 1.0, axis=1)))
-            far = _nearest_d2(pts[:count], cands[inbox]) >= r2
+            far = min_squared_dists(cands[inbox], pts[:count]) >= r2
             if domain.viability is None:
                 ok = far
             elif per_point:  # in order, up to the first candidate accepted
@@ -617,21 +617,6 @@ def poisson_disk(domain: Domain, config: PoissonConfig, rng: RngState) -> Sample
         else:  # n_cand candidates failed
             active.pop(pos)
     return SampleSet(domain, domain.from_unit(pts[:count]))
-
-
-def _nearest_d2(pts: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Each candidate's minimum squared distance to pts, with the bits of
-    ``((pts - cand) ** 2).sum(axis=1).min()``.  The differences are laid
-    out (d, candidates * n) and summed by ``_row_sums``, in chunks of
-    candidates that hold about 2**17 values."""
-    d, n = pts.shape[1], pts.shape[0]
-    out = np.empty(len(cands))
-    step = max(1, (1 << 17) // (n * d))
-    for start in range(0, len(cands), step):
-        c = cands[start:start + step]
-        sq = np.square(pts.T[:, None, :] - c.T[:, :, None]).reshape(d, -1)
-        out[start:start + len(c)] = _row_sums(sq, np.empty(sq.shape[1])).reshape(len(c), n).min(axis=1)
-    return out
 
 
 # ---------------------------------------------------------------------------

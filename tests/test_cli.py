@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spacefill import cli
+from spacefill import cli, samplers
 
 from conftest import assert_latin
 
@@ -75,6 +75,10 @@ class TestGenerate:
                                "--seed", "1", "--params", "r=0.3,ncand=10")
         assert code == 0
         assert len(out.strip().splitlines()) > 2
+
+    def test_missing_n_exit_2(self, capsys):
+        code, _, err = run_out(capsys, "generate", "--algo", "bc", "--dim", "2", "--seed", "1")
+        assert (code, err) == (2, "spacefill: algorithm 'bc' requires a sample count\n")
 
     def test_bad_param_exit_2(self, capsys):
         code, _, err = run_out(capsys, "generate", "--algo", "bc", "--dim", "2",
@@ -496,6 +500,19 @@ class TestBench:
         code, _, err = run_out(capsys, "bench", "--spec", str(path), "--out", str(tmp_path))
         assert (code, err) == (2, "spacefill: spec must be a JSON object\n")
 
+    @pytest.mark.parametrize("method, message", [
+        (["bogus", {}], "unknown algorithm 'bogus'; expected one of "
+                        f"{sorted(samplers.TABLE_DEFAULTS)}"),
+        (["bc", {"scale": 3}], "unknown parameter 'scale' for algorithm 'bc'"),
+    ], ids=["method", "param"])
+    def test_unknown_name_exit_2(self, tmp_path, capsys, method, message):
+        spec = {"name": "mini", "dim": 2, "nSamples": 10, "repetitions": 1,
+                "methods": [["bc", {"ncand": 5}], method]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_out(capsys, "bench", "--spec", str(path), "--out", str(tmp_path))
+        assert (code, out, err) == (2, "", f"spacefill: bad experiment spec: {message}\n")
+
     def test_custom_spec_writes_reports(self, tmp_path, capsys):
         spec = {
             "schemaVersion": 1,
@@ -574,6 +591,20 @@ class TestPlot:
         text = svg.read_text()
         assert text.count('fill="#000000"') == 20
         assert text.count('fill="#d62728"') == 20
+
+    @pytest.mark.parametrize("split, code", [(-1, 2), (0, 0), (20, 0), (21, 2)])
+    def test_split_range(self, tmp_path, capsys, split, code):
+        src = tmp_path / "p.csv"
+        assert run("generate", "--algo", "random", "--dim", "2", "--n", "20",
+                   "--seed", "24", "--out", str(src)) == 0
+        svg = tmp_path / "p.svg"
+        got, _, err = run_out(capsys, "plot", "--in", str(src), "--out", str(svg),
+                              "--split", str(split))
+        if code:
+            assert (got, err) == (2, f"spacefill: --split must lie in [0, 20], got {split}\n")
+            assert not svg.exists()
+        else:
+            assert got == 0 and svg.read_text().count('fill="#000000"') == split
 
     def test_projection_of_4d(self, tmp_path):
         src = tmp_path / "p4.csv"

@@ -17,7 +17,6 @@ from spacefill.samplers import (
     PoissonConfig,
     _draw_unit_batch,
     _draw_unit_density,
-    _nearest_d2,
     generate,
 )
 
@@ -244,13 +243,6 @@ class TestBlockDraws:
         assert len(out) > 300
         _assert_same(out, want, rng, ref_rng)
 
-    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 20, 130])
-    def test_nearest_d2_matches_row_sums(self, d):
-        rs = np.random.default_rng(d)
-        pts, cands = rs.random((300, d)), rs.random((45, d))
-        want = [((pts - c) ** 2).sum(axis=1).min() for c in cands]
-        assert _nearest_d2(pts, cands).tobytes() == np.array(want).tobytes()
-
 
 class TestDrawUnitBatch:
     """Block draws against the per-candidate loop they replace."""
@@ -412,6 +404,33 @@ class TestLatinize:
         ref = brute_latinize(sample_set, ref_rng)
         assert out.points.tobytes() == ref.points.tobytes()
         assert rng.random() == ref_rng.random()  # same stream position
+
+
+class TestLatinPropertyHolds:
+    def test_lhs_and_latinize_outputs(self, unit2):
+        assert sf.latin_property_holds(sf.lhs_basic(unit2, 50, RngState(19)))
+        assert sf.latin_property_holds(sf.lhs_basic(Domain([10.0, -3.0], [20.0, 5.0]), 7,
+                                                    RngState(20)))
+        pts = SampleSet(unit2, RngState(21).random((30, 2)))
+        assert sf.latin_property_holds(sf.latinize(pts, RngState(22)))
+
+    def test_coordinate_in_neighbouring_bin(self, unit2):
+        s = sf.lhs_basic(unit2, 10, RngState(23), BinPlacement.BIN_CENTER)
+        pts = s.points.copy()
+        i = int(np.argmin(pts[:, 1]))  # bin 0; bin 1 is taken by another point
+        pts[i, 1] += 0.1
+        assert not sf.latin_property_holds(SampleSet(unit2, pts))
+
+    def test_edges(self, unit2):
+        # Interior edges k/n open their bin, and 1.0 closes the last one.
+        pts = [[0.0, 1.0], [0.25, 0.3], [0.5, 0.6], [0.75, 0.1]]
+        assert sf.latin_property_holds(SampleSet(unit2, pts))
+        below = [[0.0, 1.0], [np.nextafter(0.25, 0.0), 0.3], [0.5, 0.6], [0.75, 0.1]]
+        assert not sf.latin_property_holds(SampleSet(unit2, below))
+
+    @pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
+    def test_single_point(self, unit2, v):
+        assert sf.latin_property_holds(SampleSet(unit2, [[v, 1.0 - v]]))
 
 
 class TestCvt:
