@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -26,7 +27,7 @@ from .core import (
     min_squared_dists,
 )
 from . import samplers
-from .samplers import INCREMENTAL_ALGORITHMS, _greedy_picks
+from .samplers import _greedy_picks
 
 __all__ = [
     "CurveRegionSpec",
@@ -40,7 +41,7 @@ __all__ = [
     "stream_subset",
 ]
 
-VIABLE_ALGORITHMS = ("random", "greedyfp", "bc", "hybrid", "cvt")
+_END = object()  # marks the end of a record stream, where None is a bad record
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,18 @@ def density_weighted_select(candidates, selected, density: Callable, rng: RngSta
     """Index of the candidate maximizing density(c) * min-distance(c, selected).
 
     With an empty selection the index is drawn at random among the
-    candidates, weighted by density via one rejection pass.  Distances are
+    candidates, weighted by density via one rejection pass.  ``selected`` is
+    an (m, d) array, one point of length d, or empty.  Distances are
     measured in the coordinates the arrays are given in.  Non-finite,
     negative and all-zero densities are errors.
     """
     cands = np.atleast_2d(np.asarray(candidates, dtype=float))
     if cands.shape[0] == 0:
         raise ValueError("candidates must be nonempty")
+    sel = np.atleast_2d(np.asarray([] if selected is None else selected, dtype=float))
+    if sel.size and (sel.ndim != 2 or sel.shape[1] != cands.shape[1]):
+        raise ValueError(f"selected must hold points of dimension {cands.shape[1]}, "
+                         f"got shape {np.shape(selected)}")
     vals = _array_rows(density, cands)
     vals = np.array([float(density(c)) for c in cands]) if vals is None else vals.astype(float)
     if not np.all(np.isfinite(vals)):
@@ -102,8 +108,7 @@ def density_weighted_select(candidates, selected, density: Callable, rng: RngSta
         raise SamplingError("density returned a negative value")
     if not vals.max() > 0.0:
         raise SamplingError("all candidate densities are zero")
-    sel = np.asarray(selected, dtype=float).reshape(-1, cands.shape[1]) if selected is not None else None
-    if sel is None or sel.shape[0] == 0:
+    if sel.size == 0:
         return samplers._density_draw_index(rng, vals)
     return _greedy_picks(cands, min_squared_dists(cands, sel), 1, weights=vals)[0]
 
@@ -135,9 +140,8 @@ def incremental_add(existing: SampleSet, m: int, algorithm: str,
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if algorithm not in INCREMENTAL_ALGORITHMS:
-        raise ValueError(f"algorithm {algorithm!r} does not support incremental addition")
-    if m == 0:
+    if m == 0:  # nothing to draw, but the algorithm-id rules still hold
+        samplers._checked(algorithm, params, 1, existing.domain, existing)
         return SampleSet(existing.domain, existing.points, frozen_count=len(existing))
     return samplers.generate(algorithm, existing.domain, m, rng, params, existing=existing)
 
@@ -149,8 +153,6 @@ def viable_region_sample(domain: Domain, n: int, algorithm: str,
     before use."""
     if domain.viability is None:
         raise ValueError("viable_region_sample requires a viability predicate")
-    if algorithm not in VIABLE_ALGORITHMS:
-        raise ValueError(f"algorithm {algorithm!r} does not support viability filtering")
     return samplers.generate(algorithm, domain, n, rng, params)
 
 
@@ -249,43 +251,29 @@ def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
     n_subset = config.subset_size
     if total_records is None:
         try:
-            fixed_total = len(records)  # type: ignore[arg-type]
+            total_records = len(records)  # type: ignore[arg-type]
         except TypeError:
             raise ValueError("total_records is required for unsized record sources") from None
-        total_fn = lambda: fixed_total
-    elif callable(total_records):
-        total_fn = total_records
-    else:
-        fixed_total = int(total_records)
-        total_fn = lambda: fixed_total
+    total_fn = total_records if callable(total_records) else lambda t=int(total_records): t
 
     it = iter(records)
     winners: list[np.ndarray] = []
     seen = 0
-    dim = None
-    lows = highs = None
-
-    pending = next(it, None)
-    if pending is None:
+    lows, highs = np.inf, -np.inf
+    head = next(it, _END)  # one record of lookahead tells the final segment
+    if head is _END:
         raise ValueError("record source is empty")
-    while pending is not None:
-        seg = [_as_record(pending, dim)]
-        dim = seg[0].size
-        while len(seg) < config.segment_size:
-            rec = next(it, None)
-            if rec is None:
-                break
-            seg.append(_as_record(rec, dim))
-        pending = next(it, None)
-        final = pending is None
-
-        seg_arr = np.asarray(seg)
+    dim = _as_record(head, None).size
+    while head is not _END:
+        seg = np.asarray([_as_record(rec, dim)
+                          for rec in chain((head,), islice(it, config.segment_size - 1))])
+        head = next(it, _END)
         seen += len(seg)
-        lows = seg_arr.min(axis=0) if lows is None else np.minimum(lows, seg_arr.min(axis=0))
-        highs = seg_arr.max(axis=0) if highs is None else np.maximum(highs, seg_arr.max(axis=0))
+        lows = np.minimum(lows, seg.min(axis=0))
+        highs = np.maximum(highs, seg.max(axis=0))
 
         remaining = n_subset - len(winners)
-        if final:
+        if head is _END:  # the final segment
             quota = remaining
         else:
             total = max(int(total_fn()), seen + 1)
@@ -296,12 +284,12 @@ def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
         if quota <= 0:
             continue
         if quota >= len(seg):
-            winners.extend(seg_arr)  # whole segment, arrival order, no draws
+            winners.extend(seg)  # whole segment, arrival order, no draws
             continue
         base = np.asarray(winners) if winners else np.empty((0, dim))
-        min_d2 = min_squared_dists(seg_arr, base)
+        min_d2 = min_squared_dists(seg, base)
         first = None if winners else rng.integers(len(seg))
-        winners.extend(seg_arr[_greedy_picks(seg_arr, min_d2, quota, first)])
+        winners.extend(seg[_greedy_picks(seg, min_d2, quota, first)])
 
     if seen < n_subset:
         raise ValueError(f"record source yields {seen} records, fewer than the subset size {n_subset}")

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .core import Domain, RngState, derive_seed
 from .metrics import quality_report
-from .samplers import _merged, generate, latinize
+from .samplers import _checked, generate, latinize
 
 __all__ = [
     "ExperimentSpec",
@@ -63,12 +63,16 @@ class ExperimentSpec:
     seed_base: int = DEFAULT_SEED_BASE
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if self.n_samples < 2:
+            raise ValueError("nSamples must be >= 2 (the metrics need two points)")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for method, params in self.methods:
-            _merged(method, params)  # names only; a bad value fails its cells
+            _checked(method, params, self.n_samples)  # a bad value fails its cells
 
     def to_dict(self) -> dict:
         return {

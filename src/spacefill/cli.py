@@ -286,14 +286,13 @@ def _build_domain(dim: int, lower, upper, density_name, viability_name) -> Domai
     return Domain(lo, hi, viability=viability, density=density, density_max=density_max)
 
 
-_CONFIG_KEYS = {"schemaVersion", "algorithm", "dim", "n", "seed", "domain",
-                "params", "latinize", "density", "viability"}
 # The JSON type of each config value; null reads as absent.
 _CONFIG_TYPES = {"algorithm": (str, "a string"), "density": (str, "a string"),
                  "viability": (str, "a string"), "dim": (int, "an integer"),
                  "n": (int, "an integer"), "seed": (int, "an integer"),
                  "params": (dict, "an object"), "latinize": (bool, "a boolean"),
                  "domain": (dict, "an object with keys lower/upper")}
+_CONFIG_KEYS = {"schemaVersion", *_CONFIG_TYPES}
 
 
 def _load_run_config(path: str) -> dict:
@@ -631,10 +630,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"spacefill: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (CliError, ValueError) as err:
         print(f"spacefill: {err}", file=sys.stderr)
         return 2
     except SamplingError as err:

@@ -807,11 +807,16 @@ TABLE_DEFAULTS = {
     "hybrid": {"scale": 10, "refresh": 100},
 }
 
-# Algorithms that can score new samples against an existing frozen prefix.
+# The rules of ``_checked``; the value of _NO_COUNT names what sets the count.
+_NO_COUNT = {"poisson": "a radius", "grid": "bins", "stratified": "bins"}
 INCREMENTAL_ALGORITHMS = ("random", "greedyfp", "bc", "hybrid")
+_VIABLE = INCREMENTAL_ALGORITHMS + ("cvt", "poisson")
 
 
-def _merged(algorithm: str, params) -> dict:
+def _checked(algorithm: str, params, n, domain: Optional[Domain] = None, existing=None) -> dict:
+    """The algorithm's parameters merged over its defaults, returned only
+    when every algorithm-id rule holds; ValueError before anything is drawn
+    otherwise (see ``generate``)."""
     if algorithm not in TABLE_DEFAULTS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(TABLE_DEFAULTS)}")
     merged = dict(TABLE_DEFAULTS[algorithm])
@@ -819,6 +824,17 @@ def _merged(algorithm: str, params) -> dict:
         if key not in merged:
             raise ValueError(f"unknown parameter {key!r} for algorithm {algorithm!r}")
         merged[key] = value
+    if algorithm in _NO_COUNT:
+        if n is not None:
+            raise ValueError(f"{algorithm} takes {_NO_COUNT[algorithm]}, not a sample count")
+    elif n is None:
+        raise ValueError(f"algorithm {algorithm!r} requires a sample count")
+    elif n < 1:
+        raise ValueError("n must be >= 1")
+    if existing is not None and algorithm not in INCREMENTAL_ALGORITHMS:
+        raise ValueError(f"algorithm {algorithm!r} does not support existing points")
+    if domain is not None and domain.viability is not None and algorithm not in _VIABLE:
+        raise ValueError(f"algorithm {algorithm!r} does not support a viability predicate")
     return merged
 
 
@@ -843,21 +859,22 @@ def _fp_config(algorithm: str, p: dict) -> FpConfig:
 def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
              params: Optional[dict] = None, existing: Optional[SampleSet] = None) -> SampleSet:
     """Dispatch by algorithm id, filling missing parameters from the
-    comparison defaults.  ``n`` must be None for poisson (its sample count is
-    an output) and is required everywhere else."""
-    p = _merged(algorithm, params)
+    comparison defaults.
+
+    The rules below are checked before anything is drawn; a call that
+    breaks one raises ValueError and leaves rng untouched.  The algorithm
+    and parameter names must be known.  ``n`` is None for poisson, grid and
+    stratified (r and bins set their counts) and >= 1 for the others.  Only
+    random, greedyfp, bc and hybrid take ``existing``, even an empty set,
+    and return it as a frozen prefix.  A viability predicate goes only to
+    those four, cvt and poisson.  A density weights greedyfp, bc, hybrid and
+    cvt; the other algorithms ignore it.
+    """
+    p = _checked(algorithm, params, n, domain, existing)
     if algorithm == "poisson":
-        if n is not None:
-            raise ValueError("poisson takes a radius, not a sample count")
         return poisson_disk(domain, PoissonConfig(radius=float(p["r"]), n_cand=int(p["ncand"])), rng)
-    if n is None and algorithm not in ("grid", "stratified"):
-        raise ValueError(f"algorithm {algorithm!r} requires a sample count")
-    if existing is not None and len(existing) > 0 and algorithm not in INCREMENTAL_ALGORITHMS:
-        raise ValueError(f"algorithm {algorithm!r} does not support existing points")
     if algorithm == "random":
-        if existing is not None and len(existing) > 0:
-            return _assemble(domain, existing, _draw_unit_batch(rng, domain, n))
-        return random_sampling(domain, n, rng)
+        return _assemble(domain, existing, _draw_unit_batch(rng, domain, n))
     if algorithm in ("grid", "stratified"):
         mode = GridMode.CORNERS if algorithm == "grid" else GridMode.STRATIFIED_RANDOM
         return grid_sampling(domain, p["bins"], mode, rng)
@@ -877,21 +894,14 @@ def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
         return greedy_fp(domain, n, rng, _fp_config(algorithm, p), existing)
     if algorithm == "bc":
         return best_candidate(domain, n, rng, _fp_config(algorithm, p), existing)
-    if algorithm == "hybrid":
-        return hybrid_bc_fp(domain, n, rng, _fp_config(algorithm, p), existing)
-    raise AssertionError(f"unhandled algorithm {algorithm!r}")
+    return hybrid_bc_fp(domain, n, rng, _fp_config(algorithm, p), existing)
 
 
 def _new_points(algorithm: str, rng: RngState, domain: Domain, n: int,
                 params: Optional[dict], exist_u: np.ndarray) -> np.ndarray:
     """New unit points by incremental-capable algorithm id (used by the
     adaptation toolkit)."""
-    if algorithm not in INCREMENTAL_ALGORITHMS:
-        raise ValueError(
-            f"algorithm {algorithm!r} cannot add to existing samples; "
-            f"expected one of {INCREMENTAL_ALGORITHMS}"
-        )
-    p = _merged(algorithm, params)
+    p = _checked(algorithm, params, n, domain, exist_u)
     if algorithm == "random":
         return _draw_unit_batch(rng, domain, n)
     core = _bc_new if algorithm == "bc" else _greedy_new

@@ -74,6 +74,18 @@ class TestDensityWeightedSelect:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 4), (4,)], ids=["2x3", "1x4", "flat-4"])
+    def test_selected_of_wrong_width_rejected(self, shape):
+        cands = [[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]
+        with pytest.raises(ValueError, match="selected must hold points of dimension 2"):
+            sf.density_weighted_select(cands, np.full(shape, 0.5), lambda p: 1.0, RngState(0))
+
+    def test_one_flat_selected_point(self):
+        cands = [[0.1, 0.1], [0.5, 0.5], [0.8, 0.8]]
+        got = [sf.density_weighted_select(cands, sel, lambda p: 1.0, RngState(0))
+               for sel in ([0.6, 0.6], [[0.6, 0.6]])]
+        assert got == [0, 0]
+
     def test_empty_selection_draws_weighted(self):
         # winner drawn among candidates, weighted by density; deterministic per seed
         cands = [[0.1], [0.5], [0.9]]
@@ -387,6 +399,11 @@ class TestStreamSubset:
         got = sf.stream_subset(gen, StreamConfig(segment_size=10, subset_size=5),
                                RngState(97), total_records=50)
         assert len(got) == 5
+
+    def test_none_record_rejected(self):
+        records = [[0.1, 0.2], None, [0.3, 0.4]]
+        with pytest.raises(ValueError, match="ragged record"):
+            sf.stream_subset(records, StreamConfig(segment_size=10, subset_size=1), RngState(98))
 
     def test_ragged_record_rejected(self):
         records = [[0.1, 0.2], [0.3, 0.4, 0.5]]

@@ -70,6 +70,12 @@ class TestGenerate:
                                "--dim", "2", "--n", "10", "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("algo", ["grid", "stratified"])
+    def test_grid_rejects_n(self, capsys, algo):
+        code, out, err = run_out(capsys, "generate", "--algo", algo,
+                                 "--dim", "2", "--n", "10", "--seed", "1")
+        assert (code, out, err) == (2, "", f"spacefill: {algo} takes bins, not a sample count\n")
+
     def test_poisson_runs_without_n(self, capsys):
         code, out, _ = run_out(capsys, "generate", "--algo", "poisson", "--dim", "2",
                                "--seed", "1", "--params", "r=0.3,ncand=10")
@@ -508,6 +514,21 @@ class TestBench:
     def test_unknown_name_exit_2(self, tmp_path, capsys, method, message):
         spec = {"name": "mini", "dim": 2, "nSamples": 10, "repetitions": 1,
                 "methods": [["bc", {"ncand": 5}], method]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_out(capsys, "bench", "--spec", str(path), "--out", str(tmp_path))
+        assert (code, out, err) == (2, "", f"spacefill: bad experiment spec: {message}\n")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"methods": [["poisson", {}]]}, "poisson takes a radius, not a sample count"),
+        ({"methods": [["grid", {}]]}, "grid takes bins, not a sample count"),
+        ({"methods": [["stratified", {}]]}, "stratified takes bins, not a sample count"),
+        ({"nSamples": 1}, "nSamples must be >= 2 (the metrics need two points)"),
+        ({"dim": 0}, "dim must be >= 1"),
+    ], ids=["poisson", "grid", "stratified", "one-sample", "zero-dim"])
+    def test_spec_rule_exit_2(self, tmp_path, capsys, change, message):
+        spec = {"name": "mini", "dim": 2, "nSamples": 10, "repetitions": 1,
+                "methods": [["bc", {"ncand": 5}]], **change}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         code, out, err = run_out(capsys, "bench", "--spec", str(path), "--out", str(tmp_path))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -674,6 +675,57 @@ class TestProgressiveCoverage:
             r50 = cdist(probe, s.points[:50]).min(axis=1).max()
             r100 = cdist(probe, s.points).min(axis=1).max()
             assert r50 <= 1.8 * r100, f"{algo}: {r50} vs {r100}"
+
+
+# Small parameters, so that every call of the rule table that may run is quick.
+RULE_PARAMS = {
+    "random": {}, "grid": {"bins": 3}, "stratified": {"bins": 3}, "lhs-basic": {},
+    "lhs-maximin": {"ntries": 1, "ninterchanges": 5}, "cvt": {"niter": 2, "ppi": 50},
+    "poisson": {"r": 0.4, "ncand": 5}, "greedyfp": {"scale": 3}, "bc": {"ncand": 5},
+    "hybrid": {"scale": 3, "refresh": 1},
+}
+
+
+class TestAlgorithmIdRules:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("algo", sorted(RULE_PARAMS))
+    def test_rule_table(self, algo, d):
+        """Every count, existing set and viability form: a call either
+        raises ValueError before its first draw and its first viability
+        call, or returns the existing points followed by the right number
+        of new ones."""
+        calls = []
+
+        def viable(p):
+            calls.append(p)
+            return p[0] >= 0.3
+
+        counted = algo not in ("poisson", "grid", "stratified")
+        for n, prior, form in itertools.product([None, 0, 1, 2], [None, 0, 3],
+                                                [None, "point", "array"]):
+            viable.batch = (lambda pts: pts[:, 0] >= 0.3) if form == "array" else None
+            dom = Domain.unit(d, viability=viable if form else None)
+            existing = None if prior is None else SampleSet(
+                dom, np.linspace(0.4, 0.9, prior * d).reshape(prior, d), frozen_count=prior)
+            ok = ((n is None) != counted
+                  and (n is None or n >= (2 if algo == "lhs-maximin" else 1))
+                  and (prior is None or algo in ("random", "greedyfp", "bc", "hybrid"))
+                  and (form is None or algo not in ("grid", "stratified", "lhs-basic", "lhs-maximin")))
+            case = f"{algo} d={d} n={n} existing={prior} viability={form}"
+            rng = RngState(7)
+            calls.clear()
+            try:
+                out = generate(algo, dom, n, rng, RULE_PARAMS[algo], existing)
+            except ValueError:
+                assert not ok, case
+                assert rng.random() == RngState(7).random() and not calls, case
+                continue
+            assert ok, case
+            new = len(out) - (prior or 0)
+            assert out.frozen_count == (prior or 0), case
+            want = {"grid": 3 ** d, "stratified": 3 ** d}.get(algo, n)
+            assert new >= 1 if algo == "poisson" else new == want, case
+            assert existing is None or out.points[:prior].tobytes() == existing.points.tobytes(), case
 
 
 class TestGenerateDispatch:
