@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -40,9 +40,6 @@ __all__ = [
     "curve_region_sample",
     "stream_subset",
 ]
-
-_END = object()  # marks the end of a record stream, where None is a bad record
-
 
 @dataclass(frozen=True)
 class CurveRegionSpec:
@@ -180,6 +177,8 @@ def expand_domain(existing: SampleSet, new_domain: Domain, m: int, algorithm: st
         raise ValueError("new domain dimension does not match the existing set")
     if _boxes_disjoint(new_domain, old):
         raise ValueError("new domain is disjoint from the existing one")
+    # The algorithm-id rules hold even when nothing is drawn.
+    samplers._checked(algorithm, params, 1, new_domain, existing)
     if not _box_contains(new_domain, old):
         keep = new_domain.contains(existing.points)
         if new_domain.viability is not None:
@@ -241,8 +240,13 @@ def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
     each segment is the candidate batch for at most ceil(N * share) winners,
     where the share uses the known or estimated total record count, and the
     final segment tops the selection up to exactly N.  Every record is read
-    exactly once; winners are actual input records in selection order.
+    exactly once; winners are actual input records in selection order.  A
+    ragged or non-finite record raises ValueError when it is read.
 
+    records is an iterable of records, or a block source: an object with a
+    ``read_rows(k)`` method that returns the next min(k, records left)
+    records as one (m, d) float array, m being 0 only at the end (the CLI's
+    CSV reader is one).  A block source is read a segment at a time.
     total_records may be an int, a callable returning a running estimate
     (re-evaluated per segment), or None for sized sources (len() is used).
     The output's domain is the records' bounding box, widened by 0.5 on
@@ -256,24 +260,23 @@ def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
             raise ValueError("total_records is required for unsized record sources") from None
     total_fn = total_records if callable(total_records) else lambda t=int(total_records): t
 
-    it = iter(records)
+    source = records if hasattr(records, "read_rows") else _RecordRows(records)
     winners: list[np.ndarray] = []
     seen = 0
     lows, highs = np.inf, -np.inf
-    head = next(it, _END)  # one record of lookahead tells the final segment
-    if head is _END:
+    head = source.read_rows(1)  # one record of lookahead tells the final segment
+    if not len(head):
         raise ValueError("record source is empty")
-    dim = _as_record(head, None).size
-    while head is not _END:
-        seg = np.asarray([_as_record(rec, dim)
-                          for rec in chain((head,), islice(it, config.segment_size - 1))])
-        head = next(it, _END)
+    dim = head.shape[1]
+    while len(head):
+        seg = np.concatenate((head, source.read_rows(config.segment_size - 1)))
+        head = source.read_rows(1)
         seen += len(seg)
         lows = np.minimum(lows, seg.min(axis=0))
         highs = np.maximum(highs, seg.max(axis=0))
 
         remaining = n_subset - len(winners)
-        if head is _END:  # the final segment
+        if not len(head):  # the final segment
             quota = remaining
         else:
             total = max(int(total_fn()), seen + 1)
@@ -304,11 +307,29 @@ def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
     return SampleSet(Domain(lows, highs), np.asarray(winners))
 
 
-def _as_record(rec, dim) -> np.ndarray:
-    if type(rec) is np.ndarray and rec.ndim == 1 and rec.dtype == np.float64:
-        arr = rec
-    else:
-        arr = np.asarray(rec, dtype=float).reshape(-1)
-    if dim is not None and arr.size != dim:
-        raise ValueError(f"ragged record: expected {dim} values, got {arr.size}")
-    return arr
+class _RecordRows:
+    """The read_rows(k) of a block source, served from any iterable of
+    records one record at a time; the first record fixes the dimension."""
+
+    def __init__(self, records: Iterable):
+        self._it = iter(records)
+        self._dim = None
+        self._served = 0
+
+    def read_rows(self, k: int) -> np.ndarray:
+        rows = [self._record(rec) for rec in islice(self._it, k)]
+        return np.asarray(rows) if rows else np.empty((0, self._dim or 0))
+
+    def _record(self, rec) -> np.ndarray:
+        if type(rec) is np.ndarray and rec.ndim == 1 and rec.dtype == np.float64:
+            arr = rec
+        else:
+            arr = np.asarray(rec, dtype=float).reshape(-1)
+        if self._dim is None:
+            self._dim = arr.size
+        elif arr.size != self._dim:
+            raise ValueError(f"ragged record: expected {self._dim} values, got {arr.size}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"record {self._served}: non-finite value")
+        self._served += 1
+        return arr

@@ -36,14 +36,11 @@ class CliError(Exception):
 # CSV sample format
 # ---------------------------------------------------------------------------
 
-def format_row(row) -> str:
-    return ",".join(f"{v:.17g}" for v in row)
-
-
 def write_samples(points: np.ndarray, out) -> None:
     dim = points.shape[1]
     out.write(",".join(f"x{j}" for j in range(dim)) + "\n")
-    # "%.17g" % v formats a float exactly as format_row's f"{v:.17g}" does.
+    # "%.17g" % v formats a float exactly as f"{v:.17g}" does: 17 significant
+    # digits, which round-trip every double.
     # Rows become Python floats a block at a time, which bounds the memory.
     row_format = ",".join(["%.17g"] * dim) + "\n"
     for start in range(0, points.shape[0], 1024):
@@ -55,18 +52,22 @@ def _parse_data_line(line: str, lineno: int, dim) -> np.ndarray:
     if dim is not None and len(cells) != dim:
         raise CliError(f"line {lineno}: expected {dim} columns, got {len(cells)}")
     try:
-        return np.array([float(c) for c in cells])
+        row = np.array([float(c) for c in cells])
     except ValueError:
         raise CliError(f"line {lineno}: non-numeric cell") from None
+    if not np.isfinite(row).all():
+        raise CliError(f"line {lineno}: non-finite cell")
+    return row
 
 
 def _parse_lines(lines: list, linenos: list, dim) -> np.ndarray:
     """Data lines as one (len(lines), d) array; d is dim or, when dim is None,
     the first line's column count.
 
-    All cells go through one float() pass.  A ragged line or a cell float()
-    rejects falls back to _parse_data_line line by line, which raises the
-    error of the first bad line with its line number.
+    All cells go through one float() pass and one finiteness check.  A
+    ragged line, a cell float() rejects, or a nan or infinite cell falls back
+    to _parse_data_line line by line, which raises the error of the first bad
+    line with its line number.
     """
     if dim is None:
         dim = lines[0].count(",") + 1
@@ -76,7 +77,9 @@ def _parse_lines(lines: list, linenos: list, dim) -> np.ndarray:
         except ValueError:
             pass
         else:
-            return np.array(cells).reshape(len(lines), dim)
+            rows = np.array(cells).reshape(len(lines), dim)
+            if np.isfinite(rows).all():
+                return rows
     return np.array([_parse_data_line(line, n, dim) for line, n in zip(lines, linenos)])
 
 
@@ -148,14 +151,17 @@ class _CsvReader:
                 if not raws:
                     self.close()
                     break
-                lines, linenos, sizes = [], [], []
-                for lineno, raw in enumerate(raws, start=self._lineno + 1):
-                    line = raw.rstrip("\r\n")
-                    if line:
-                        lines.append(line)
-                        linenos.append(lineno)
-                        sizes.append(len(raw.encode()))
+                first = self._lineno + 1
                 self._lineno += len(raws)
+                lines = [raw.rstrip("\r\n") for raw in raws]
+                if all(lines) and all(map(str.isascii, raws)):
+                    # No blank line, and each character is one byte.
+                    linenos, sizes = range(first, self._lineno + 1), list(map(len, raws))
+                else:
+                    keep = [i for i, line in enumerate(lines) if line]
+                    lines = [lines[i] for i in keep]
+                    linenos = [first + i for i in keep]
+                    sizes = [len(raws[i].encode()) for i in keep]
                 if lines:
                     rows = _parse_lines(lines, linenos, self._dim)
                     self._dim = rows.shape[1]
@@ -180,12 +186,14 @@ class _CsvReader:
 class CsvRecordStream(_CsvReader):
     """Streaming CSV reader for the subset command ("-" reads stdin).
 
-    Yields one record per data row, reading the input exactly once, and keeps
-    a running estimate of the total record count from the file size and the
-    bytes consumed so far.  Rows are parsed a block at a time, but a row's
+    Serves the data rows in order, reading the input exactly once: as
+    (k, d) array slices of the parsed blocks through ``read_rows(k)``, or one
+    record at a time by iteration.  It keeps a running estimate of the total
+    record count from the file size and the bytes consumed so far.  A row's
     bytes count toward the estimate only when the row is served, so
-    estimate_total() equals that of line-by-line reading after every record.
-    Stdin has size 0, since its length is unknown.
+    ``records``, ``data_bytes`` and estimate_total() equal those of
+    line-by-line reading after every served row.  Stdin has size 0, since
+    its length is unknown.
     """
 
     def __init__(self, path: str):
@@ -197,25 +205,40 @@ class CsvRecordStream(_CsvReader):
         super().__init__(path)
         self.records = 0
         self.data_bytes = 0
-        self._rows = None
+        self._rows = np.empty((0, 0))
         self._sizes = []
         self._at = 0
+
+    def read_rows(self, k: int) -> np.ndarray:
+        """The next min(k, rows left) rows as one (m, d) array, cut from the
+        current parsed block and the blocks after it; for k >= 1, m is 0 only
+        at the end of the input."""
+        parts = []
+        while k > 0:
+            if self._at == len(self._rows):
+                block = self.read_block()
+                if block is None:
+                    break
+                self._rows, _, self._sizes = block
+                self._at = 0
+            i = self._at
+            self._at = j = min(i + k, len(self._rows))
+            parts.append(self._rows[i:j])
+            self.records += j - i
+            self.data_bytes += sum(self._sizes[i:j])
+            k -= j - i
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty((0, self._dim or 0))
 
     def __iter__(self):
         return self
 
     def __next__(self) -> np.ndarray:
-        if self._at == len(self._sizes):
-            block = self.read_block()
-            if block is None:
-                raise StopIteration
-            self._rows, _, self._sizes = block
-            self._at = 0
-        i = self._at
-        self._at += 1
-        self.records += 1
-        self.data_bytes += self._sizes[i]
-        return self._rows[i]
+        row = self.read_rows(1)
+        if not len(row):
+            raise StopIteration
+        return row[0]
 
     def estimate_total(self) -> int:
         if self.records == 0 or self.data_bytes == 0:

@@ -10,6 +10,11 @@ from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet, Sam
 from spacefill.samplers import _place_in_bin
 
 
+def format_row(row) -> str:
+    """Reference CSV row: each value with 17 significant digits."""
+    return ",".join(f"{v:.17g}" for v in row)
+
+
 def brute_nn_distances(points):
     """O(N^2) nearest-neighbor oracle, plain loops."""
     n = len(points)

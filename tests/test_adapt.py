@@ -245,6 +245,20 @@ class TestExpandDomain:
         out = sf.expand_domain(existing, wide, 0, "bc", None, RngState(73))
         assert np.array_equal(out.points, existing.points)
 
+    @pytest.mark.parametrize("new_upper", [[2.0, 1.0], [0.5, 0.5]], ids=["m0", "shrink"])
+    @pytest.mark.parametrize("algorithm, params, message", [
+        ("bogus", {"zzz": 1}, "unknown algorithm 'bogus'"),
+        ("bc", {"zzz": 1}, "unknown parameter 'zzz'"),
+        ("lhs-basic", None, "does not support existing points"),
+    ])
+    def test_id_rules_checked_when_nothing_is_drawn(self, unit2, new_upper, algorithm,
+                                                    params, message):
+        existing = sf.random_sampling(unit2, 10, RngState(72))
+        rng = RngState(73)
+        with pytest.raises(ValueError, match=message):
+            sf.expand_domain(existing, Domain([0.0, 0.0], new_upper), 0, algorithm, params, rng)
+        assert rng.random() == RngState(73).random()
+
     def test_disjoint_domains_error(self, unit2):
         existing = sf.random_sampling(unit2, 5, RngState(74))
         far = Domain([5.0, 5.0], [6.0, 6.0])
@@ -404,6 +418,20 @@ class TestStreamSubset:
         records = [[0.1, 0.2], None, [0.3, 0.4]]
         with pytest.raises(ValueError, match="ragged record"):
             sf.stream_subset(records, StreamConfig(segment_size=10, subset_size=1), RngState(98))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_rejected_when_read(self, bad):
+        rows = RngState(99).random((50, 2)).tolist()
+        rows[17][1] = bad
+        src = _CountingSource(rows)
+        with pytest.raises(ValueError, match="^record 17: non-finite value$"):
+            sf.stream_subset(src, StreamConfig(segment_size=10, subset_size=5), RngState(100))
+        assert src.served == 18  # no record after the bad one is read
+
+    def test_none_record_in_1d_is_non_finite(self):
+        records = [[0.1], [0.2], None, [0.5]]
+        with pytest.raises(ValueError, match="^record 2: non-finite value$"):
+            sf.stream_subset(records, StreamConfig(segment_size=4, subset_size=2), RngState(98))
 
     def test_ragged_record_rejected(self):
         records = [[0.1, 0.2], [0.3, 0.4, 0.5]]

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from spacefill import cli, samplers
+from spacefill import adapt, cli, samplers
+from spacefill.core import RngState
 
-from conftest import assert_latin
+from conftest import assert_latin, format_row
 
 
 def run(*argv):
@@ -259,14 +261,14 @@ class TestSubset:
 
     def test_reads_file_once(self, big_csv, tmp_path, monkeypatch):
         reads = []
-        orig = cli.CsvRecordStream.__next__
+        orig = cli.CsvRecordStream.read_rows
 
-        def counting_next(self):
-            row = orig(self)
-            reads.append(tuple(row))
-            return row
+        def counting_read_rows(self, k):
+            rows = orig(self, k)
+            reads.extend(map(tuple, rows))
+            return rows
 
-        monkeypatch.setattr(cli.CsvRecordStream, "__next__", counting_next)
+        monkeypatch.setattr(cli.CsvRecordStream, "read_rows", counting_read_rows)
         out = tmp_path / "sub.csv"
         assert run("subset", "--in", str(big_csv), "--n", "50", "--segment", "500",
                    "--seed", "3", "--out", str(out)) == 0
@@ -337,7 +339,7 @@ class TestCsvParsing:
         end = "\r\n" if crlf else "\n"
         lines = ["x0,x1,x2"] if header else []
         for i, row in enumerate(rs.random((n_rows, 3))):
-            lines.append(cli.format_row(row))
+            lines.append(format_row(row))
             if blank_every and i % blank_every == 0:
                 lines.append("")
         path.write_bytes((end.join(lines) + end).encode())
@@ -374,10 +376,24 @@ class TestCsvParsing:
         assert np.array_equal(got, want) and np.signbit(got[2, 1])
         assert np.array_equal(np.array(list(cli.CsvRecordStream(str(f)))), want)
 
+    def test_non_ascii_cells_count_bytes(self, tmp_path):
+        """float() reads non-ASCII digits; their rows count encoded bytes."""
+        path = tmp_path / "wide.csv"
+        lines = ["x0,x1"] + [f"0.{i % 10},\uff10.\uff15" if i % 3 else "0.25,0.5"
+                             for i in range(5000)]
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        want, _, counts = _reference_records(str(path))
+        with cli.CsvRecordStream(str(path)) as stream:
+            for (records, data_bytes), row in zip(counts, stream):
+                assert (stream.records, stream.data_bytes) == (records, data_bytes)
+        assert stream.data_bytes == path.stat().st_size - len("x0,x1\n")
+        assert np.array_equal(cli.read_samples(str(path)), want)
+
     @pytest.mark.parametrize("lineno", [4096, 4097])
     @pytest.mark.parametrize("bad, message", [
         ("0.5", "expected 2 columns, got 1"),
         ("0.5,abc", "non-numeric cell"),
+        ("0.5,nan", "non-finite cell"),
     ])
     def test_bad_line_at_block_boundary(self, tmp_path, lineno, bad, message):
         lines = ["x0,x1"] + ["0.25,0.75"] * 5000
@@ -391,6 +407,103 @@ class TestCsvParsing:
         with pytest.raises(cli.CliError) as err:
             list(cli.CsvRecordStream(str(f)))
         assert str(err.value) == want
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("nan,0.5", "abc,0.5", "line 3: non-finite cell"),
+        ("abc,0.5", "nan,0.5", "line 3: non-numeric cell"),
+        ("0.5,inf", "0.5", "line 3: non-finite cell"),
+        ("0.5", "0.5,inf", "line 3: expected 2 columns, got 1"),
+    ])
+    def test_first_bad_line_wins(self, tmp_path, first, second, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"x0,x1\n0.1,0.2\n{first}\n0.3,0.4\n{second}\n")
+        with pytest.raises(cli.CliError) as err:
+            cli.read_samples(str(f))
+        assert str(err.value) == message
+
+
+class TestNonFiniteCells:
+    """A nan or infinite cell fails the command with its line number, exit 2,
+    as soon as its block is read."""
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("command", ["subset", "subset-stdin", "score", "plot"])
+    def test_exit_2_with_line_number(self, tmp_path, capsys, monkeypatch, command, cell):
+        text = f"x0,x1\n0.1,0.2\n0.3,0.4\n0.5,{cell}\n0.6,0.7\n"
+        f = tmp_path / "nonfinite.csv"
+        f.write_text(text)
+        svg = tmp_path / "p.svg"
+        argv = {
+            "subset": ["subset", "--in", str(f), "--n", "2", "--segment", "2", "--seed", "1"],
+            "subset-stdin": ["subset", "--in", "-", "--n", "2", "--segment", "2",
+                             "--total", "4", "--seed", "1"],
+            "score": ["score", "--in", str(f)],
+            "plot": ["plot", "--in", str(f), "--out", str(svg)],
+        }[command]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_out(capsys, *argv)
+        assert (code, out, err) == (2, "", "spacefill: line 4: non-finite cell\n")
+        assert not svg.exists()
+
+
+class _CountingStream(cli.CsvRecordStream):
+    """CsvRecordStream that records (records, data_bytes, estimate_total())
+    each time stream_subset asks for the total."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.states = []
+
+    def total(self, exact):
+        self.states.append((self.records, self.data_bytes, self.estimate_total()))
+        return self.estimate_total() if exact is None else exact
+
+
+class TestBlockSource:
+    """stream_subset reading CsvRecordStream a block at a time against the
+    same stream served record by record through a plain iterator."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_rows=st.one_of(st.integers(1, 60), st.integers(4000, 9000)),
+        dim=st.integers(1, 4),
+        header=st.booleans(),
+        crlf=st.booleans(),
+        blank_every=st.sampled_from([0, 1, 5, 4096]),
+        segment=st.one_of(st.sampled_from([1, 4095, 4096, 4097, 8193]), st.integers(1, 9000)),
+        subset=st.integers(1, 40),
+        exact=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_record_by_record(self, tmp_path_factory, n_rows, dim, header, crlf,
+                                      blank_every, segment, subset, exact, seed):
+        assume(subset <= n_rows and (segment > 1 or n_rows <= 60))
+        rs = np.random.default_rng(seed)
+        end = "\r\n" if crlf else "\n"
+        lines = [",".join(f"x{j}" for j in range(dim))] if header else []
+        for i, row in enumerate(rs.random((n_rows, dim))):
+            lines.append(format_row(row))
+            if blank_every and i % blank_every == 0:
+                lines.append("")
+        path = tmp_path_factory.mktemp("block") / "r.csv"
+        path.write_bytes((end.join(lines) + end).encode())
+        config = adapt.StreamConfig(segment_size=segment, subset_size=subset)
+        total = n_rows if exact else None
+        got = []
+        for block_source in (True, False):
+            with _CountingStream(str(path)) as stream:
+                source = stream if block_source else (row for row in stream)
+                result = adapt.stream_subset(source, config, RngState(seed),
+                                             total_records=lambda: stream.total(total))
+                got.append((result.points.tobytes(), result.domain.lower.tobytes(),
+                            result.domain.upper.tobytes(), stream.states, stream.records,
+                            stream.data_bytes))
+        assert got[0] == got[1]
+        # At each ask, one record past the segment has been read and counted.
+        _, _, counts = _reference_records(str(path))
+        seen = [k * segment for k in range(1, len(got[0][3]) + 1)]
+        assert [s[:2] for s in got[0][3]] == [counts[k] for k in seen]
+        assert got[0][4:] == counts[-1]
 
 
 class TestBadInputClosesFiles:
