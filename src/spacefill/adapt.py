@@ -22,8 +22,8 @@ from .core import (
     RngState,
     SampleSet,
     SamplingError,
-    _array_rows,
     _outside,
+    _rows,
     min_squared_dists,
 )
 from . import samplers
@@ -97,8 +97,7 @@ def density_weighted_select(candidates, selected, density: Callable, rng: RngSta
     if sel.size and (sel.ndim != 2 or sel.shape[1] != cands.shape[1]):
         raise ValueError(f"selected must hold points of dimension {cands.shape[1]}, "
                          f"got shape {np.shape(selected)}")
-    vals = _array_rows(density, cands)
-    vals = np.array([float(density(c)) for c in cands]) if vals is None else vals.astype(float)
+    vals = _rows(density, cands, float)
     if not np.all(np.isfinite(vals)):
         raise SamplingError("density returned a non-finite value")
     if np.any(vals < 0):

@@ -55,16 +55,32 @@ def _has_array_form(fn) -> bool:
     return getattr(fn, "batch", None) is not None
 
 
-def _array_rows(fn, points: np.ndarray) -> Optional[np.ndarray]:
-    """One call of fn's array form on an (m, d) array, or None when fn has
-    none.  The result must hold one value per row."""
+def _rows(fn, points: np.ndarray, dtype, each=None) -> np.ndarray:
+    """fn's value at each row of an (m, d) array, as a dtype array: one call
+    of fn's array form when it has one, which must give one value per row,
+    else each(p), by default dtype(fn(p)), per row in order."""
     if not _has_array_form(fn):
-        return None
+        each = each or (lambda p: dtype(fn(p)))
+        return np.array([each(p) for p in points], dtype=dtype)
     out = np.asarray(fn.batch(points))
     if out.shape != (len(points),):
         raise ValueError(f"batch form returned shape {out.shape} for {len(points)} points; "
                          f"expected ({len(points)},)")
-    return out
+    return out.astype(dtype)
+
+
+def _in_order(test, rows: int, want: int, misses: int, cap: Optional[int]) -> np.ndarray:
+    """One bool per row from test(i), called on i = 0, 1, ... up to the
+    want-th hit or, when cap is given, the cap-th consecutive miss counting
+    the misses carried in; rows past the stop read False."""
+    ok = np.zeros(rows, dtype=bool)
+    for i in range(rows):
+        ok[i] = hit = bool(test(i))
+        misses = 0 if hit else misses + 1
+        want -= hit
+        if not want or misses == cap:
+            break
+    return ok
 
 
 @dataclass(frozen=True)
@@ -78,25 +94,28 @@ class Domain:
         Box bounds; ``lower[k] < upper[k]`` is required in every dimension.
     viability : callable, optional
         Predicate ``point -> bool`` defining an allowed (possibly
-        non-rectangular) region inside the box.  Samplers call it once per
-        candidate drawn inside the box, in draw order; a rejection draw
-        stops at the last candidate it keeps, so none past it is tested.  A
-        ``SampleSet`` calls it once per point to validate.
+        non-rectangular) region inside the box.
     density : callable, optional
         Finite, nonnegative weight ``point -> float``; requires ``density_max``.
     density_max : float, optional
         Declared finite upper bound of ``density`` over the box.  A density
         value observed above this bound is a contract violation and raises.
 
+    The call contract, which holds for every sampler because only the
+    Domain calls these callables on blocks of points: a rejection draw
+    hands the Domain a peeked block of candidates to decide, and a
+    per-point callable is called once per candidate drawn inside the box,
+    in draw order, up to the last candidate the draw keeps and never past
+    it.  A ``SampleSet`` calls the viability once per point to validate.
+
     Either callable may carry an opt-in array form as its ``batch``
     attribute: ``batch(points)`` maps an (m, d) array of points to an (m,)
     array, the value the callable gives for each row.  When it is present,
-    ``viable`` and ``densities`` call it once per block, and the rejection
-    draws decide a whole peeked block with it.  Outputs and stream positions
-    are those of the per-point form, but the array form may be called on
-    rows past the last one a draw keeps.  Every density value it returns is
-    checked as ``density_at`` checks one.  The per-point form keeps every
-    promise above.  The CLI presets carry array forms.
+    the Domain calls it once per block instead.  Outputs and stream
+    positions are those of the per-point form, but the array form may be
+    called on rows past the last one a draw keeps.  Every density value it
+    returns is checked as ``density_at`` checks one.  The CLI presets carry
+    array forms.
     """
 
     lower: np.ndarray
@@ -136,10 +155,6 @@ class Domain:
     def extent(self) -> np.ndarray:
         return self.upper - self.lower
 
-    @property
-    def is_unit(self) -> bool:
-        return bool(np.all(self.lower == 0.0) and np.all(self.upper == 1.0))
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Closed-box membership for an (n, d) array, one bool per row."""
         pts = np.atleast_2d(points)
@@ -154,25 +169,38 @@ class Domain:
         return (np.asarray(x) - self.lower) / self.extent
 
     def viable(self, points: np.ndarray) -> np.ndarray:
-        """Viability of each row of an (m, d) array: one call of the array
-        form when the predicate has one, else one call per row, in order."""
-        ok = _array_rows(self.viability, points)
-        if ok is None:
-            return np.array([bool(self.viability(p)) for p in points], dtype=bool)
-        return ok.astype(bool)
+        """Viability of each row of an (m, d) array."""
+        return _rows(self.viability, points, bool)
 
     def densities(self, points: np.ndarray) -> np.ndarray:
-        """``density_at`` of each row of an (m, d) array: one call of the
-        array form when the density has one, else one call per row, in
-        order.  The first offending row, in order, raises its message."""
-        rho = _array_rows(self.density, points)
-        if rho is None:
-            return np.array([self.density_at(p) for p in points], dtype=float)
-        rho = rho.astype(float)
+        """``density_at`` of each row of an (m, d) array; the first
+        offending row, in order, raises its message."""
+        rho = _rows(self.density, points, float, self.density_at)
         bad = np.flatnonzero(~((rho >= 0) & (rho <= self.density_max)))
         if bad.size:
             self._checked(float(rho[bad[0]]))
         return rho
+
+    def _viable_rows(self, x: np.ndarray, want: int, misses: int, cap, also=None) -> np.ndarray:
+        """A rejection draw's viability of a peeked block of points, and'ed
+        with the mask also when given; a per-point predicate sees
+        ``viability(x[i]) and also[i]`` in order, stopping as ``_in_order``
+        does."""
+        also = np.ones(len(x), dtype=bool) if also is None else also
+        if self.viability is None:
+            return also
+        if _has_array_form(self.viability):
+            return also & self.viable(x)
+        return _in_order(lambda i: self.viability(x[i]) and also[i], len(x), want, misses, cap)
+
+    def _accepts(self, t: np.ndarray, x: np.ndarray, want: int, misses: int, cap) -> np.ndarray:
+        """A density rejection draw's ``t * density_max <= density`` for a
+        peeked block of thresholds and points, stopping as ``_in_order``
+        does for a per-point density."""
+        if _has_array_form(self.density):
+            return t * self.density_max <= self.densities(x)
+        return _in_order(lambda i: t[i] * self.density_max <= self.density_at(x[i]),
+                         len(x), want, misses, cap)
 
     def density_at(self, point: np.ndarray) -> float:
         """Evaluate the density, enforcing the declared upper bound; a

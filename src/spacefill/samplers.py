@@ -29,7 +29,6 @@ from .core import (
     SamplingError,
     min_squared_dists,
     squared_distance_matrix,
-    _has_array_form,
 )
 
 __all__ = [
@@ -174,20 +173,6 @@ def _peek_hits(rng: RngState, rows: int, width: int, want: int, misses: int, hit
     return block, idx, rows, (rows - 1 - int(idx[-1]) if idx.size else misses + rows)
 
 
-def _in_order(test, rows, want: int, misses: int) -> np.ndarray:
-    """A ``_peek_hits`` test that calls test(row) in row order up to the
-    want-th hit or the REJECTION_CAP-th consecutive miss, and never past
-    it; rows past the stop read False."""
-    ok = np.zeros(len(rows), dtype=bool)
-    for i, row in enumerate(rows):
-        ok[i] = hit = bool(test(row))
-        misses = 0 if hit else misses + 1
-        want -= hit
-        if not want or misses == REJECTION_CAP:
-            break
-    return ok
-
-
 def _draw_hits(rng: RngState, count: int, width: int, hit, message: str) -> np.ndarray:
     """The first count hit rows of width uniforms each, drawn by
     ``_peek_hits``; the stream moves past exactly the rows examined, as with
@@ -217,20 +202,15 @@ def _draw_unit_batch(rng: RngState, domain: Domain, count: int) -> np.ndarray:
     Stream contract: the output and the stream position are those of one
     draw per candidate; an unconstrained draw takes one batched draw, which
     consumes the stream identically.  REJECTION_CAP consecutive rejections
-    raise RegionTooSmallError.  A viability with an array form decides each
-    peeked block at once.  A per-point viability is called on each row in
-    draw order, so it gets the same calls, on the same points and in the
-    same order, as with one draw per candidate, and never a call past the
-    last row kept.
+    raise RegionTooSmallError.  The domain decides each peeked block, under
+    the call contract in ``Domain``'s docstring.
     """
     d = domain.dim
-    viability = domain.viability
-    if viability is None:
+    if domain.viability is None:
         return rng.random((count, d))
 
     def hit(u, want, misses):
-        x = domain.from_unit(u)
-        return domain.viable(x) if _has_array_form(viability) else _in_order(viability, x, want, misses)
+        return domain._viable_rows(domain.from_unit(u), want, misses, REJECTION_CAP)
     return _draw_hits(rng, count, d, hit, f"viability predicate rejected {REJECTION_CAP} "
                       "consecutive draws; region too small")
 
@@ -241,19 +221,16 @@ def _draw_unit_density(rng: RngState, domain: Domain, count: int) -> np.ndarray:
     Per point: draw coordinates, apply the viability, then accept with
     probability density/density_max.  A point costs d+1 uniforms per
     attempt, u and then t; REJECTION_CAP failed attempts in a row raise.
-    Without a viability, peeked blocks of (u, t) rows are decided as
-    ``t * density_max <= density(u)``: at once for a density with an array
-    form, row by row in draw order for a per-point one.
+    Without a viability, the domain decides peeked blocks of (u, t) rows,
+    under the call contract in ``Domain``'s docstring.
     """
     d = domain.dim
     message = ("density rejection sampling exceeded the cap; acceptance rate "
                "below 1e-6 (density_max far too large or density ~ 0)")
     if domain.viability is None:
         def hit(rows, want, misses):
-            if _has_array_form(domain.density):
-                return rows[:, d] * domain.density_max <= domain.densities(domain.from_unit(rows[:, :d]))
-            return _in_order(lambda row: row[d] * domain.density_max
-                             <= domain.density_at(domain.from_unit(row[:d])), rows, want, misses)
+            return domain._accepts(rows[:, d], domain.from_unit(rows[:, :d]), want, misses,
+                                   REJECTION_CAP)
         return _draw_hits(rng, count, d + 1, hit, message)[:, :d].copy()
     # t is drawn only after the viability passes, so an attempt takes d or
     # d + 1 uniforms: no fixed-width block scan fits.
@@ -562,14 +539,13 @@ def poisson_disk(domain: Domain, config: PoissonConfig, rng: RngState) -> Sample
 
     Stream contract: the output and the stream position are those of one
     d-value draw per annulus try.  The tries for an active sample are peeked
-    a block at a time and decided at once; a per-point viability is called
-    in order on the candidates inside the box, up to the first one accepted.
+    a block at a time, and the domain decides the candidates inside the box
+    under the call contract in ``Domain``'s docstring.
     """
     d = domain.dim
     r = config.radius  # unit-scale distance
     r2 = r * r
     lo, hi = -2.0 * r, 2.0 * r
-    per_point = domain.viability is not None and not _has_array_form(domain.viability)
 
     def in_annulus(u, want, misses):
         v = lo + (hi - lo) * u
@@ -591,16 +567,8 @@ def poisson_disk(domain: Domain, config: PoissonConfig, rng: RngState) -> Sample
             cands = base + (lo + (hi - lo) * block[hits])
             inbox = np.flatnonzero(~(np.any(cands < 0.0, axis=1) | np.any(cands > 1.0, axis=1)))
             far = min_squared_dists(cands[inbox], pts[:count]) >= r2
-            if domain.viability is None:
-                ok = far
-            elif per_point:  # in order, up to the first candidate accepted
-                ok = np.zeros(len(inbox), dtype=bool)
-                for j, i in enumerate(inbox):
-                    if domain.viability(domain.from_unit(cands[i])) and far[j]:
-                        ok[j] = True
-                        break
-            else:
-                ok = far & domain.viable(domain.from_unit(cands[inbox]))
+            # The first candidate accepted ends the scan; no cap applies.
+            ok = domain._viable_rows(domain.from_unit(cands[inbox]), 1, 0, None, far)
             if ok.any():
                 j = inbox[np.argmax(ok)]
                 rng.random((hits[j] + 1, d))

@@ -31,7 +31,7 @@ class TestDomain:
 
     def test_unit(self):
         d = Domain.unit(3)
-        assert d.dim == 3 and d.is_unit
+        assert d.dim == 3 and np.all(d.lower == 0) and np.all(d.upper == 1)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_density_non_finite_rejected(self, bad):
