@@ -72,7 +72,7 @@ class ExperimentSpec:
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for method, params in self.methods:
-            _checked(method, params, self.n_samples)  # a bad value fails its cells
+            _checked(method, params, self.n_samples)  # a value out of range fails its cells
 
     def to_dict(self) -> dict:
         return {

@@ -306,6 +306,8 @@ def _build_domain(dim: int, lower, upper, density_name, viability_name) -> Domai
     if density_name:
         density, density_max = presets.density_by_name(density_name)
     viability = presets.viability_by_name(viability_name) if viability_name else None
+    if viability is not None and dim < 2:
+        raise CliError(f"viability {viability_name} needs --dim >= 2")
     return Domain(lo, hi, viability=viability, density=density, density_max=density_max)
 
 

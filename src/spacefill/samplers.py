@@ -12,8 +12,10 @@ the lowest index.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -93,6 +95,9 @@ class CvtConfig:
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.n_iter < 1 or self.ppi < 1:
             raise ValueError("n_iter and ppi must be >= 1")
         if not (self.alpha2 > 0 and self.beta2 > 0):
@@ -111,8 +116,8 @@ class PoissonConfig:
     n_cand: int = 30
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         if self.n_cand < 1:
             raise ValueError("n_cand must be >= 1")
 
@@ -319,16 +324,19 @@ def random_sampling(domain: Domain, n: int, rng: RngState) -> SampleSet:
 def grid_sampling(domain: Domain, bins_per_dim, mode: GridMode, rng: RngState) -> SampleSet:
     """One point per cell of a regular grid: cell centers (CORNERS mode) or
     one uniform point per cell (STRATIFIED_RANDOM).  N = prod(bins)."""
-    bins = np.asarray(bins_per_dim, dtype=int).reshape(-1)
+    bins = np.asarray(bins_per_dim).reshape(-1)
+    if bins.dtype.kind not in "iuf" or not np.all(np.isfinite(bins) & (bins == np.floor(bins))):
+        raise ValueError(f"bins_per_dim entries must be integers, got {bins_per_dim!r}")
     if bins.size == 1 and domain.dim > 1:
         bins = np.full(domain.dim, bins[0])
     if bins.size != domain.dim:
         raise ValueError(f"bins_per_dim must have length {domain.dim}")
     if np.any(bins < 1):
         raise ValueError("bins_per_dim entries must be positive")
-    n_cells = int(np.prod(bins, dtype=object))
+    n_cells = math.prod(int(b) for b in bins)
     if n_cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {n_cells} cells exceeds the maximum {MAX_GRID_CELLS}")
+    bins = bins.astype(int)
     # Cell order is row-major: the last dimension varies fastest.
     idx = np.indices(tuple(bins)).reshape(domain.dim, -1).T.astype(float)
     if mode is GridMode.CORNERS:
@@ -791,6 +799,14 @@ def _checked(algorithm: str, params, n, domain: Optional[Domain] = None, existin
     for key, value in (params or {}).items():
         if key not in merged:
             raise ValueError(f"unknown parameter {key!r} for algorithm {algorithm!r}")
+        default = merged[key]
+        if not isinstance(default, str):
+            integer = isinstance(default, int)
+            many = key == "bins" and isinstance(value, (list, tuple))
+            if not all(_is_number(v, integer) for v in (value if many else [value])):
+                kind = "an integer" if integer else "a finite number"
+                raise ValueError(f"parameter {key!r} of algorithm {algorithm!r} must be {kind}, "
+                                 f"got {value!r}")
         merged[key] = value
     if algorithm in _NO_COUNT:
         if n is not None:
@@ -804,6 +820,17 @@ def _checked(algorithm: str, params, n, domain: Optional[Domain] = None, existin
     if domain is not None and domain.viability is not None and algorithm not in _VIABLE:
         raise ValueError(f"algorithm {algorithm!r} does not support a viability predicate")
     return merged
+
+
+def _is_number(v, integer: bool) -> bool:
+    """Whether v is an integer (an int, or a float with an integral value)
+    when integer is set, else a number that float() makes finite; a bool is
+    neither."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    if isinstance(v, numbers.Integral):
+        return integer or abs(v) <= sys.float_info.max
+    return math.isfinite(v) and (not integer or float(v).is_integer())
 
 
 def _placement(name) -> BinPlacement:
@@ -831,7 +858,9 @@ def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
 
     The rules below are checked before anything is drawn; a call that
     breaks one raises ValueError and leaves rng untouched.  The algorithm
-    and parameter names must be known.  ``n`` is None for poisson, grid and
+    and parameter names must be known, a parameter whose default is an int
+    takes an integer (bins also a list of them), and one whose default is
+    a float takes a finite number.  ``n`` is None for poisson, grid and
     stratified (r and bins set their counts) and >= 1 for the others.  Only
     random, greedyfp, bc and hybrid take ``existing``, even an empty set,
     and return it as a frozen prefix.  A viability predicate goes only to

@@ -1,6 +1,10 @@
 import builtins
+import contextlib
 import io
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +146,119 @@ class TestGenerate:
         path.write_text(json.dumps({"algorithm": "random", "dim": 2, "n": 3, "seed": 1, **entry}))
         code, _, err = run_out(capsys, "generate", "--config", str(path))
         assert (code, err) == (2, f"spacefill: {message}\n")
+
+
+class TestParamValues:
+    """A parameter value of the wrong kind fails before anything is drawn:
+    exit 2, one line naming the parameter, and nothing on stdout."""
+
+    @pytest.mark.parametrize("algo,n,entry,message", [
+        ("bc", "5", "ncand=2.5", "'ncand' of algorithm 'bc' must be an integer, got 2.5"),
+        ("hybrid", "5", "refresh=1.9",
+         "'refresh' of algorithm 'hybrid' must be an integer, got 1.9"),
+        ("lhs-maximin", "5", "ntries=1.7",
+         "'ntries' of algorithm 'lhs-maximin' must be an integer, got 1.7"),
+        ("grid", None, "bins=2.7", "'bins' of algorithm 'grid' must be an integer, got 2.7"),
+        ("stratified", None, "bins=1.5",
+         "'bins' of algorithm 'stratified' must be an integer, got 1.5"),
+        ("cvt", "5", "tol=nan", "'tol' of algorithm 'cvt' must be a finite number, got nan"),
+        ("cvt", "5", "alpha1=nan",
+         "'alpha1' of algorithm 'cvt' must be a finite number, got nan"),
+        ("poisson", None, "r=inf", "'r' of algorithm 'poisson' must be a finite number, got inf"),
+        ("bc", "5", "ncand=abc", "'ncand' of algorithm 'bc' must be an integer, got 'abc'"),
+    ], ids=["ncand", "refresh", "ntries", "grid-bins", "stratified-bins", "tol", "alpha1",
+            "r", "ncand-text"])
+    def test_rejected(self, capsys, algo, n, entry, message):
+        count = [] if n is None else ["--n", n]
+        code, out, err = run_out(capsys, "generate", "--algo", algo, "--dim", "2", "--seed", "1",
+                                 "--params", entry, *count)
+        assert (code, out, err) == (2, "", f"spacefill: parameter {message}\n")
+
+    def test_1d_viability_preset_exit_2(self, capsys):
+        code, out, err = run_out(capsys, "generate", "--algo", "random", "--dim", "1", "--n", "3",
+                                 "--seed", "1", "--viability", "parabola-above")
+        assert (code, out, err) == (2, "", "spacefill: viability parabola-above needs --dim >= 2\n")
+
+
+# --params values of the contract test: one of each wrong kind, and values in
+# range that keep every run small (cvt niter and ppi are always set).
+_BAD_VALUES = ["2.5", "0", "-1", "nan", "inf", "abc", "true"]
+_GOOD_VALUES = {
+    "bins": ["1", "2", "4"], "placement": ["random", "center"], "ntries": ["1", "3"],
+    "ninterchanges": ["0", "20"], "niter": ["1", "50"], "ppi": ["1", "50"],
+    "alpha1": ["0"], "alpha2": ["1"], "beta1": ["0.25"], "beta2": ["0.75"], "tol": ["0", "1e-6"],
+    "r": ["0.2", "0.5"], "ncand": ["1", "30"], "scale": ["1", "10"], "refresh": ["1", "7"],
+}
+_PPI_WARNING = re.compile(r"ppi=\d+ is below n=\d+; generator estimates will be poor")
+
+
+@st.composite
+def generate_runs(draw):
+    """generate argv over every algorithm id with d <= 3 and n <= 30, and the
+    rows an exit 0 must write (None: at least one)."""
+    algo = draw(st.sampled_from(samplers.ALGORITHMS))
+    d = draw(st.integers(1, 3))
+    defaults = samplers.TABLE_DEFAULTS[algo]
+    keys = set(draw(st.lists(st.sampled_from(sorted(defaults)), max_size=2, unique=True))
+               if defaults else [])
+    if algo == "cvt":
+        keys |= {"niter", "ppi"}
+        if draw(st.booleans()):
+            keys |= {"beta1", "beta2"}
+    # One value in four is of a wrong kind.
+    params = {k: draw(st.sampled_from(_BAD_VALUES if draw(st.integers(0, 3)) == 0
+                                      else _GOOD_VALUES[k])) for k in sorted(keys)}
+    argv = ["generate", "--algo", algo, "--dim", str(d),
+            "--seed", str(draw(st.integers(0, 2**32 - 1)))]
+    if params:
+        argv += ["--params", ",".join(f"{k}={v}" for k, v in params.items())]
+    box = draw(st.sampled_from([(0.0, 1.0), (-1.0, 2.0)]))
+    argv += ["--lower", str(box[0]), "--upper", str(box[1])]
+    for flag, name in (("--viability", "parabola-above"), ("--density", "gauss-center")):
+        if draw(st.integers(0, 3)) == 0:
+            argv += [flag, name]
+    if algo in ("grid", "stratified"):
+        try:
+            rows = float(params.get("bins", defaults["bins"])) ** d
+        except ValueError:  # not a number: no row count is right
+            rows = math.nan
+    elif algo == "poisson":
+        rows = None
+    else:
+        n = draw(st.integers(1, 30))
+        argv += ["--n", str(n)]
+        rows = n
+    return argv, rows, box
+
+
+def _generate(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+class TestGenerateContract:
+    """Any generate run within the size bounds exits 0, 1 or 2, fails with
+    exactly one spacefill: line, raises no warning but cvt's documented one,
+    reruns byte for byte, and on success writes its row count inside the box."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(generate_runs())
+    def test_contract(self, run_spec):
+        argv, rows, (lo, hi) = run_spec
+        code, out, err, caught = _generate(argv)
+        assert code in (0, 1, 2)
+        assert [m for m in caught if not _PPI_WARNING.fullmatch(m)] == []
+        if code:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("spacefill: ")
+        else:
+            pts = np.array([[float(v) for v in ln.split(",")] for ln in out.splitlines()[1:]])
+            assert len(pts) >= 1 if rows is None else len(pts) == rows
+            assert np.all((pts >= lo) & (pts <= hi))
+        assert _generate(argv)[:3] == (code, out, err)
 
 
 class TestPiping:

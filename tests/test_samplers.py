@@ -245,6 +245,72 @@ class TestBlockDraws:
         _assert_same(out, want, rng, ref_rng)
 
 
+class TestEmptyViableRegion:
+    """A viability that accepts nothing reaches the cap in every sampler
+    that takes one; a per-point predicate gets exactly the calls of the
+    per-candidate loop."""
+
+    @pytest.mark.parametrize("form", ["point", "array"])
+    @pytest.mark.parametrize("algo", ["random", "greedyfp", "bc", "hybrid", "cvt", "poisson"])
+    def test_reaches_the_cap(self, algo, form):
+        cap = 37
+        dom, ref = (Domain.unit(2, viability=_viability(form, -1.0)) for _ in range(2))
+        old_cap, samplers.REJECTION_CAP = samplers.REJECTION_CAP, cap
+        try:
+            with pytest.raises(SamplingError if algo == "poisson" else RegionTooSmallError):
+                generate(algo, dom, None if algo == "poisson" else 5, RngState(4))
+        finally:
+            samplers.REJECTION_CAP = old_cap
+        with pytest.raises(RegionTooSmallError):
+            brute_draw_unit_batch(RngState(4), ref, 1, cap)
+        _assert_same_calls(dom.viability, ref.viability)
+        assert form == "array" or len(dom.viability.seen) == cap
+
+
+class TestParamValues:
+    """Parameter values of the wrong kind raise before anything is drawn."""
+
+    @pytest.mark.parametrize("algo,n,params,message", [
+        ("bc", 5, {"ncand": 2.5}, "'ncand' of algorithm 'bc' must be an integer, got 2.5"),
+        ("hybrid", 5, {"refresh": True}, "'refresh' of algorithm 'hybrid' must be an integer"),
+        ("lhs-maximin", 5, {"ntries": "3"}, "'ntries' of algorithm 'lhs-maximin' must be an"),
+        ("grid", None, {"bins": [2, 2.5]}, "'bins' of algorithm 'grid' must be an integer"),
+        ("cvt", 5, {"alpha1": math.nan}, "'alpha1' of algorithm 'cvt' must be a finite number"),
+        ("poisson", None, {"r": math.inf}, "'r' of algorithm 'poisson' must be a finite number"),
+        ("poisson", None, {"r": 10 ** 400}, "'r' of algorithm 'poisson' must be a finite number"),
+    ])
+    def test_generate_leaves_rng_untouched(self, algo, n, params, message):
+        rng = RngState(9)
+        with pytest.raises(ValueError, match=f"^parameter {message}"):
+            generate(algo, Domain.unit(2), n, rng, params)
+        assert rng.random() == RngState(9).random()
+
+    def test_integral_values_accepted(self):
+        def out(algo, n, params):
+            return generate(algo, Domain.unit(2), n, RngState(1), params).points.tobytes()
+        assert out("grid", None, {"bins": [2.0, 3]}) == out("grid", None, {"bins": [2, 3]})
+        assert out("bc", 4, {"ncand": 7.0}) == out("bc", 4, {"ncand": 7})
+
+    @pytest.mark.parametrize("bins", [2.7, [2, 1.5], math.nan, math.inf, "3", True])
+    def test_grid_rejects_non_integral_bins(self, bins):
+        rng = RngState(9)
+        with pytest.raises(ValueError, match="bins_per_dim entries must be integers"):
+            sf.grid_sampling(Domain.unit(2), bins, GridMode.STRATIFIED_RANDOM, rng)
+        assert rng.random() == RngState(9).random()
+
+    @pytest.mark.parametrize("make", [
+        lambda: PoissonConfig(radius=math.inf),
+        lambda: PoissonConfig(radius=math.nan),
+        lambda: CvtConfig(n_iter=math.nan),
+        lambda: CvtConfig(alpha1=math.nan, alpha2=math.nan),
+        lambda: CvtConfig(beta2=math.inf),
+        lambda: CvtConfig(convergence_tol=math.nan),
+    ])
+    def test_configs_reject_non_finite(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
 class TestDrawUnitBatch:
     """Block draws against the per-candidate loop they replace."""
 
