@@ -186,12 +186,12 @@ class Domain:
         with the mask also when given; a per-point predicate sees
         ``viability(x[i]) and also[i]`` in order, stopping as ``_in_order``
         does."""
-        also = np.ones(len(x), dtype=bool) if also is None else also
         if self.viability is None:
-            return also
+            return np.ones(len(x), dtype=bool) if also is None else also
         if _has_array_form(self.viability):
-            return also & self.viable(x)
-        return _in_order(lambda i: self.viability(x[i]) and also[i], len(x), want, misses, cap)
+            return self.viable(x) if also is None else also & self.viable(x)
+        return _in_order(lambda i: self.viability(x[i]) and (also is None or also[i]),
+                         len(x), want, misses, cap)
 
     def _accepts(self, t: np.ndarray, x: np.ndarray, want: int, misses: int, cap) -> np.ndarray:
         """A density rejection draw's ``t * density_max <= density`` for a
