@@ -69,13 +69,13 @@ def _rows(fn, points: np.ndarray, dtype, each=None) -> np.ndarray:
     return out.astype(dtype)
 
 
-def _in_order(test, rows: int, want: int, misses: int, cap: Optional[int]) -> np.ndarray:
-    """One bool per row from test(i), called on i = 0, 1, ... up to the
+def _in_order(test, rows, want: int, misses: int, cap: Optional[int]) -> np.ndarray:
+    """One bool per item of rows from test(row), called in order up to the
     want-th hit or, when cap is given, the cap-th consecutive miss counting
-    the misses carried in; rows past the stop read False."""
-    ok = np.zeros(rows, dtype=bool)
-    for i in range(rows):
-        ok[i] = hit = bool(test(i))
+    the misses carried in; items past the stop read False."""
+    ok = np.zeros(len(rows), dtype=bool)
+    for i, row in enumerate(rows):
+        ok[i] = hit = bool(test(row))
         misses = 0 if hit else misses + 1
         want -= hit
         if not want or misses == cap:
@@ -182,25 +182,25 @@ class Domain:
         return rho
 
     def _viable_rows(self, x: np.ndarray, want: int, misses: int, cap, also=None) -> np.ndarray:
-        """A rejection draw's viability of a peeked block of points, and'ed
-        with the mask also when given; a per-point predicate sees
-        ``viability(x[i]) and also[i]`` in order, stopping as ``_in_order``
-        does."""
-        if self.viability is None:
+        """A rejection draw's viability of a peeked block, and'ed with the
+        mask also when given: a per-point predicate sees ``viability(x[i])
+        and also[i]`` in order, stopping as ``_in_order`` does."""
+        fn = self.viability
+        if fn is None:
             return np.ones(len(x), dtype=bool) if also is None else also
-        if _has_array_form(self.viability):
+        if _has_array_form(fn):
             return self.viable(x) if also is None else also & self.viable(x)
-        return _in_order(lambda i: self.viability(x[i]) and (also is None or also[i]),
-                         len(x), want, misses, cap)
+        if also is None:
+            return _in_order(fn, x, want, misses, cap)
+        return _in_order(lambda i: fn(x[i]) and also[i], range(len(x)), want, misses, cap)
 
     def _accepts(self, t: np.ndarray, x: np.ndarray, want: int, misses: int, cap) -> np.ndarray:
         """A density rejection draw's ``t * density_max <= density`` for a
-        peeked block of thresholds and points, stopping as ``_in_order``
-        does for a per-point density."""
+        peeked block, stopping as ``_in_order`` does for a per-point density."""
         if _has_array_form(self.density):
             return t * self.density_max <= self.densities(x)
         return _in_order(lambda i: t[i] * self.density_max <= self.density_at(x[i]),
-                         len(x), want, misses, cap)
+                         range(len(x)), want, misses, cap)
 
     def density_at(self, point: np.ndarray) -> float:
         """Evaluate the density, enforcing the declared upper bound; a
