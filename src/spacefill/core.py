@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 __all__ = [
     "SamplingError",
@@ -376,20 +376,32 @@ def nearest_neighbor_distances(sample_set: SampleSet) -> np.ndarray:
     return np.sqrt(d2.min(axis=1))
 
 
+def condensed_pair(k, n: int):
+    """The pair (i, j), i < j, at position k of the condensed order of n
+    points, the row-major order over i < j that ``pdist`` writes; k may be
+    an array.  Exact integer arithmetic: row i starts at
+    ``offsets[i] = i*n - i*(i+1)/2``."""
+    rows = np.arange(n - 1)
+    offsets = rows * n - rows * (rows + 1) // 2
+    i = np.searchsorted(offsets, k, "right") - 1
+    return i, k - offsets[i] + i + 1
+
+
 def min_pair(sample_set: SampleSet):
-    """Indices and distance of the globally closest pair.
+    """Indices and distance of the globally closest pair, computing each
+    pair's distance once.
 
     Ties are broken by the lexicographically smallest (i, j) with i < j.
     """
     n = len(sample_set)
     if n < 2:
         raise ValueError("min_pair requires at least 2 points")
-    d2 = squared_distance_matrix(sample_set.points)
-    # argmin scans row-major, so the first occurrence is the (i, j) with the
-    # smallest i (then j); symmetry guarantees i < j for that entry.
-    flat = int(np.argmin(d2))
-    i, j = divmod(flat, n)
-    return i, j, float(np.sqrt(d2[i, j]))
+    d2 = pdist(sample_set.points, "sqeuclidean")
+    # The first minimum in condensed (row-major, i < j) order is the
+    # lexicographically smallest closest pair.
+    k = int(np.argmin(d2))
+    i, j = condensed_pair(k, n)
+    return int(i), int(j), float(np.sqrt(d2[k]))
 
 
 def scale_to_unit(sample_set: SampleSet) -> SampleSet:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 from scipy.special import logsumexp
 
-from .core import SampleSet, min_pair, nearest_neighbor_distances
+from .core import SampleSet, condensed_pair, nearest_neighbor_distances
 
 __all__ = ["QualityReport", "nn_stats", "phi_p", "cl2_discrepancy", "quality_report"]
 
@@ -66,7 +66,8 @@ def phi_p(sample_set: SampleSet, p: int = DEFAULT_P) -> float:
         raise ValueError("phi_p requires at least 2 points")
     d2 = pdist(sample_set.points, "sqeuclidean")
     if np.any(d2 == 0.0):
-        i, j, _ = min_pair(sample_set)
+        # The first zero in condensed order is the pair min_pair reports.
+        i, j = condensed_pair(int(np.argmin(d2)), n)
         raise ValueError(f"duplicate points at indices ({i}, {j}): phi_p is undefined")
     log_d = 0.5 * np.log(d2)
     return float(np.exp(logsumexp(-p * log_d) / p))

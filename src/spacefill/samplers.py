@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .core import (
     REJECTION_CAP,
@@ -29,8 +29,8 @@ from .core import (
     RngState,
     SampleSet,
     SamplingError,
+    condensed_pair,
     min_squared_dists,
-    squared_distance_matrix,
 )
 
 __all__ = [
@@ -324,19 +324,22 @@ def random_sampling(domain: Domain, n: int, rng: RngState) -> SampleSet:
 def grid_sampling(domain: Domain, bins_per_dim, mode: GridMode, rng: RngState) -> SampleSet:
     """One point per cell of a regular grid: cell centers (CORNERS mode) or
     one uniform point per cell (STRATIFIED_RANDOM).  N = prod(bins)."""
-    bins = np.asarray(bins_per_dim).reshape(-1)
-    if bins.dtype.kind not in "iuf" or not np.all(np.isfinite(bins) & (bins == np.floor(bins))):
+    # Entries stay Python objects until the cap check, so a whole number
+    # beyond int64 is counted, not mistaken for a non-integer.
+    entries = np.asarray(bins_per_dim, dtype=object).reshape(-1)
+    if not all(_is_number(b, True) for b in entries):
         raise ValueError(f"bins_per_dim entries must be integers, got {bins_per_dim!r}")
-    if bins.size == 1 and domain.dim > 1:
-        bins = np.full(domain.dim, bins[0])
-    if bins.size != domain.dim:
+    counts = [int(b) for b in entries]
+    if len(counts) == 1:
+        counts *= domain.dim
+    if len(counts) != domain.dim:
         raise ValueError(f"bins_per_dim must have length {domain.dim}")
-    if np.any(bins < 1):
+    if min(counts) < 1:
         raise ValueError("bins_per_dim entries must be positive")
-    n_cells = math.prod(int(b) for b in bins)
+    n_cells = math.prod(counts)
     if n_cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {n_cells} cells exceeds the maximum {MAX_GRID_CELLS}")
-    bins = bins.astype(int)
+    bins = np.array(counts)
     # Cell order is row-major: the last dimension varies fastest.
     idx = np.indices(tuple(bins)).reshape(domain.dim, -1).T.astype(float)
     if mode is GridMode.CORNERS:
@@ -399,6 +402,8 @@ def lhs_maximin(domain: Domain, n: int, rng: RngState,
 
     Every attempted interchange involves one endpoint of the current
     minimum-distance pair (swapping any other pair cannot raise the minimum).
+    Each attempt recomputes every pairwise distance, each pair once, into
+    one condensed buffer that the call allocates once.
     With ``trace`` a list, one (try, attempt, new_min_distance) tuple is
     appended per accepted interchange.
     """
@@ -407,12 +412,13 @@ def lhs_maximin(domain: Domain, n: int, rng: RngState,
     d = domain.dim
     best = None
     best_min = -np.inf
+    dist2 = np.empty(n * (n - 1) // 2)
     for t in range(config.n_tries):
         x = _lhs_unit(rng, n, d, config.bin_placement)
-        dist2 = squared_distance_matrix(x)
-        cur_min = dist2.min()
-        flat = int(np.argmin(dist2))
-        i1, i2 = divmod(flat, n)
+        pdist(x, "sqeuclidean", out=dist2)
+        k = int(np.argmin(dist2))
+        cur_min = dist2[k]
+        i1, i2 = condensed_pair(k, n)
         for attempt in range(config.n_interchanges):
             pick = i1 if rng.integers(2) == 0 else i2
             col = rng.integers(d)
@@ -420,12 +426,12 @@ def lhs_maximin(domain: Domain, n: int, rng: RngState,
             if row == pick:
                 continue  # identity swap can never strictly improve
             x[pick, col], x[row, col] = x[row, col], x[pick, col]
-            dist2 = squared_distance_matrix(x)
-            new_min = dist2.min()
+            pdist(x, "sqeuclidean", out=dist2)
+            k = int(np.argmin(dist2))
+            new_min = dist2[k]
             if new_min > cur_min:
                 cur_min = new_min
-                flat = int(np.argmin(dist2))
-                i1, i2 = divmod(flat, n)
+                i1, i2 = condensed_pair(k, n)
                 if trace is not None:
                     trace.append((t, attempt, float(math.sqrt(new_min))))
             else:

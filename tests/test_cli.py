@@ -179,6 +179,13 @@ class TestParamValues:
                                  "--seed", "1", "--viability", "parabola-above")
         assert (code, out, err) == (2, "", "spacefill: viability parabola-above needs --dim >= 2\n")
 
+    def test_bins_beyond_int64_exceed_the_cap(self, capsys):
+        bins = 10 ** 30
+        code, out, err = run_out(capsys, "generate", "--algo", "grid", "--dim", "2", "--seed", "1",
+                                 "--params", f"bins={bins}")
+        assert (code, out, err) == (
+            2, "", f"spacefill: grid of {bins ** 2} cells exceeds the maximum 10000000\n")
+
 
 # --params values of the contract test: one of each wrong kind, and values in
 # range that keep every run small (cvt niter and ppi are always set).

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
 from spacefill.core import (
     Domain,
     RngState,
     SampleSet,
     SamplingError,
+    condensed_pair,
     derive_seed,
     min_pair,
     nearest_neighbor_distances,
@@ -226,6 +228,51 @@ class TestMinPair:
     def test_requires_two_points(self, unit2):
         with pytest.raises(ValueError):
             min_pair(SampleSet(unit2, [[0.5, 0.5]]))
+
+    def test_several_equal_pairs_give_the_smallest(self):
+        # Four equally close pairs, listed out of order: (1, 4), (0, 3),
+        # (2, 5) and (0, 6).  The lexicographically smallest is (0, 3).
+        pts = [[0.5, 0.5], [0.125, 0.125], [0.875, 0.125], [0.5, 0.75],
+               [0.125, 0.375], [0.875, 0.375], [0.5, 0.25]]
+        s = SampleSet(Domain.unit(2), pts)
+        assert min_pair(s) == (0, 3, 0.25)
+        assert brute_min_pair(pts)[:2] == (0, 3)
+
+    def test_duplicates_give_the_smallest_pair(self, unit2):
+        pts = [[0.1, 0.2], [0.7, 0.7], [0.3, 0.3], [0.7, 0.7], [0.3, 0.3]]
+        assert min_pair(SampleSet(unit2, pts)) == (1, 3, 0.0)
+
+
+class TestCondensedPairs:
+    """The condensed (pdist) kernel behind min_pair, phi_p and lhs_maximin."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 1000])
+    def test_map_matches_triu_indices(self, n):
+        i, j = condensed_pair(np.arange(n * (n - 1) // 2), n)
+        want_i, want_j = np.triu_indices(n, 1)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+    def test_scalar_index(self):
+        assert condensed_pair(0, 2) == (0, 1)
+        assert condensed_pair(20, 7) == (5, 6)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_pdist_equals_cdist_upper_triangle(self, d):
+        # lhs_maximin and min_pair read pdist where they once read cdist;
+        # their pinned outputs rely on the two kernels agreeing bit for bit.
+        x = RngState(100 + d).random((60, d))
+        upper = cdist(x, x, "sqeuclidean")[np.triu_indices(60, 1)]
+        assert np.array_equal(pdist(x, "sqeuclidean"), upper)
+
+    def test_pdist_equals_cdist_on_tied_lattice(self):
+        x = np.indices((5, 4, 3)).reshape(3, -1).T / np.array([4.0, 3.0, 2.0])
+        n = len(x)
+        full = cdist(x, x, "sqeuclidean")
+        d2 = pdist(x, "sqeuclidean")
+        assert np.array_equal(d2, full[np.triu_indices(n, 1)])
+        # The first minimum in condensed order is the full matrix's argmin.
+        np.fill_diagonal(full, np.inf)
+        assert condensed_pair(int(np.argmin(d2)), n) == divmod(int(np.argmin(full)), n)
 
 
 class TestRng:

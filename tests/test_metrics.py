@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spacefill.core import Domain, RngState, SampleSet
+from spacefill.core import Domain, RngState, SampleSet, min_pair
 from spacefill.metrics import cl2_discrepancy, nn_stats, phi_p, quality_report
 
 from conftest import brute_cl2, brute_cl2_chunked, brute_phi_p
@@ -40,6 +40,19 @@ class TestPhiP:
     def test_duplicates_error_names_pair(self):
         s = _set([[0.1, 0.1], [0.5, 0.5], [0.1, 0.1]])
         with pytest.raises(ValueError, match=r"\(0, 2\)"):
+            phi_p(s)
+
+    @pytest.mark.parametrize("points", [
+        [[0.7, 0.2], [0.3, 0.3], [0.9, 0.9], [0.3, 0.3], [0.7, 0.2]],
+        [[0.5, 0.5]] * 4,
+        [[0.1, 0.1], [0.2, 0.2], [0.6, 0.6], [0.2, 0.2], [0.6, 0.6], [0.1, 0.1]],
+    ])
+    def test_duplicate_pair_is_min_pairs(self, points):
+        # Several duplicate pairs: phi_p names the one min_pair returns.
+        s = _set(points)
+        i, j, dist = min_pair(s)
+        assert dist == 0.0
+        with pytest.raises(ValueError, match=rf"^duplicate points at indices \({i}, {j}\):"):
             phi_p(s)
 
     def test_matches_brute_force(self):

@@ -688,6 +688,81 @@ class TestHybrid:
         assert len(s) == 10
 
 
+def _greedy_dup_oracle(x, count, first):
+    """Naive greedy max-min over rows of x that may repeat: a taken row
+    never wins again, and ties go to the lowest index."""
+    picks = [first]
+    for _ in range(count - 1):
+        best = None
+        for i in range(len(x)):
+            if i in picks:
+                continue
+            score = min(sum((x[i][k] - x[p][k]) ** 2 for k in range(len(x[i]))) for p in picks)
+            if best is None or score > best[1]:
+                best = (i, score)
+        picks.append(best[0])
+    return picks
+
+
+class TestDuplicatePoints:
+    """Repeated candidate or existing points: no crash, the same result on
+    a rerun, and every count and invariant kept."""
+
+    # Ten candidates, six distinct points; rows 0, 2 and 9 are one point.
+    ROWS = [0, 1, 0, 2, 3, 1, 4, 5, 5, 0]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("count", [1, 6, 10])
+    def test_greedy_picks_duplicate_candidates(self, weighted, count):
+        x = RngState(40).random((6, 2))[self.ROWS]
+        weights = np.linspace(0.5, 1.0, len(x)) if weighted else None
+
+        def picks():
+            return samplers._greedy_picks(x, np.full(len(x), np.inf), count, 0, weights)
+        got = picks()
+        assert len(got) == count and len(set(got)) == count
+        assert got == picks()
+        # A twin of a picked point is never picked while a new point is left.
+        distinct = min(count, 6)
+        assert len({tuple(x[i]) for i in got[:distinct]}) == distinct
+        if not weighted:
+            assert got == _greedy_dup_oracle(x.tolist(), count, 0)
+
+    @pytest.mark.parametrize("algo,params", [
+        ("greedyfp", {"scale": 4}),
+        ("hybrid", {"scale": 4, "refresh": 3}),
+        ("bc", {"ncand": 8}),
+    ])
+    def test_duplicate_existing_points(self, unit2, algo, params):
+        # Each existing point appears twice, and the existing points are the
+        # first rows of the first candidate draw, so candidates repeat them.
+        first = RngState(41).random((3, 2))
+        existing = SampleSet(unit2, np.vstack([first, first]))
+
+        def run():
+            return generate(algo, unit2, 10, RngState(41), params, existing)
+        out = run()
+        assert len(out) == 16 and out.frozen_count == 6
+        assert np.array_equal(out.points[:6], existing.points)
+        assert out.points.tobytes() == run().points.tobytes()
+        new = out.points[6:]
+        assert cdist(new, existing.points).min() > 0 and pdist(new).min() > 0
+
+    @pytest.mark.parametrize("points", [
+        [[0.3, 0.3]] * 5,
+        [[0.1, 0.9], [0.5, 0.5], [0.1, 0.9], [0.95, 0.05], [0.5, 0.5], [0.1, 0.9]],
+        [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]],
+    ])
+    def test_latinize_duplicates(self, unit2, points):
+        s = SampleSet(unit2, points)
+        out = sf.latinize(s, RngState(42))
+        assert out.points.tobytes() == sf.latinize(s, RngState(42)).points.tobytes()
+        assert out.points.tobytes() == brute_latinize(s, RngState(42)).points.tobytes()
+        assert len(out) == len(points)
+        assert_latin(out.points)
+        assert sf.latin_property_holds(out)
+
+
 class TestNonFiniteDensity:
     """A density that returns NaN on x0 < 0.1 is rejected by every
     density-weighted sampler, instead of winning (BC) or reading as zero."""
