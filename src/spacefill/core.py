@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 __all__ = [
     "SamplingError",
@@ -338,12 +338,21 @@ class RngState:
 
 # ---------------------------------------------------------------------------
 # Distance kernels.  Comparisons happen on squared distances; square roots are
-# taken only at API boundaries.
+# taken only at API boundaries.  This is the one module that imports scipy,
+# and it does so when the first distance is computed, so that a command that
+# computes none does not pay for importing scipy.spatial.
 # ---------------------------------------------------------------------------
+
+@cache
+def _distance():
+    """``scipy.spatial.distance``, imported at the first call."""
+    from scipy.spatial import distance
+    return distance
+
 
 def squared_distance_matrix(points: np.ndarray) -> np.ndarray:
     """Full (n, n) squared-distance matrix with +inf on the diagonal."""
-    d2 = cdist(points, points, "sqeuclidean")
+    d2 = _distance().cdist(points, points, "sqeuclidean")
     np.fill_diagonal(d2, np.inf)
     return d2
 
@@ -356,6 +365,7 @@ def min_squared_dists(candidates: np.ndarray, selected: np.ndarray) -> np.ndarra
     """
     if selected.shape[0] == 0:
         return np.full(candidates.shape[0], np.inf)
+    cdist = _distance().cdist
     chunk = 256
     out = np.empty(candidates.shape[0])
     for start in range(0, candidates.shape[0], chunk):
@@ -396,7 +406,7 @@ def min_pair(sample_set: SampleSet):
     n = len(sample_set)
     if n < 2:
         raise ValueError("min_pair requires at least 2 points")
-    d2 = pdist(sample_set.points, "sqeuclidean")
+    d2 = _distance().pdist(sample_set.points, "sqeuclidean")
     # The first minimum in condensed (row-major, i < j) order is the
     # lexicographically smallest closest pair.
     k = int(np.argmin(d2))

@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
-from scipy.special import logsumexp
 
-from .core import SampleSet, condensed_pair, nearest_neighbor_distances
+from .core import SampleSet, _distance, condensed_pair, nearest_neighbor_distances
 
 __all__ = ["QualityReport", "nn_stats", "phi_p", "cl2_discrepancy", "quality_report"]
 
@@ -53,24 +51,44 @@ def nn_stats(sample_set: SampleSet):
     return float(nn.min()), float(nn.mean()), float(nn.max())
 
 
+def _logsumexp(v: np.ndarray) -> np.float64:
+    """log(sum(exp(v))) of a 1-D float array: with ``top = max(v)`` and m
+    the count of entries equal to it, s is the sum of ``exp(v - top)`` with
+    those entries read as 0, divided by m unless it is 0, and the result is
+    ``log1p(s) + log(m) + top``, each step on a one-element array."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = v.max(keepdims=True)
+        hit = v == top
+        m = np.array([np.count_nonzero(hit)], dtype=float)
+        e = v - top
+        e[hit] = -np.inf
+        s = np.exp(e, out=e).sum(keepdims=True)
+        s = s if s[0] == 0 else s / m
+        out = np.log1p(s) + np.log(m) + top
+    return out[0]
+
+
 def phi_p(sample_set: SampleSet, p: int = DEFAULT_P) -> float:
     """Power-mean of inverse pairwise distances: [sum_{i<j} (1/d_ij)^p]^(1/p).
 
-    Evaluated in log space (log-sum-exp over -p*log d_ij) so that p=50 does
-    not overflow for small distances.  Duplicate points are an error.
+    Evaluated in log space so that p=50 does not overflow for small
+    distances.  The reduction is fixed here, so its bits depend on numpy
+    alone: the result is ``exp(L / p)``, where L is ``_logsumexp`` of
+    ``v = -p * (0.5 * log(d2))`` over the squared distances d2 in condensed
+    (row-major, i < j) order.  Duplicate points are an error.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     n = len(sample_set)
     if n < 2:
         raise ValueError("phi_p requires at least 2 points")
-    d2 = pdist(sample_set.points, "sqeuclidean")
+    d2 = _distance().pdist(sample_set.points, "sqeuclidean")
     if np.any(d2 == 0.0):
         # The first zero in condensed order is the pair min_pair reports.
         i, j = condensed_pair(int(np.argmin(d2)), n)
         raise ValueError(f"duplicate points at indices ({i}, {j}): phi_p is undefined")
     log_d = 0.5 * np.log(d2)
-    return float(np.exp(logsumexp(-p * log_d) / p))
+    return float(np.exp(_logsumexp(-p * log_d) / p))
 
 
 def cl2_discrepancy(sample_set: SampleSet, chunk: int = 256) -> float:

@@ -20,7 +20,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .core import (
     REJECTION_CAP,
@@ -29,6 +28,7 @@ from .core import (
     RngState,
     SampleSet,
     SamplingError,
+    _distance,
     condensed_pair,
     min_squared_dists,
 )
@@ -412,6 +412,7 @@ def lhs_maximin(domain: Domain, n: int, rng: RngState,
     d = domain.dim
     best = None
     best_min = -np.inf
+    pdist = _distance().pdist
     dist2 = np.empty(n * (n - 1) // 2)
     for t in range(config.n_tries):
         x = _lhs_unit(rng, n, d, config.bin_placement)
@@ -527,6 +528,7 @@ def cvt_sampling(domain: Domain, n: int, rng: RngState,
 
 
 def _nearest_labels(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    cdist = _distance().cdist
     chunk = 8192
     out = np.empty(pts.shape[0], dtype=int)
     for start in range(0, pts.shape[0], chunk):

@@ -3,7 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -266,6 +268,114 @@ class TestGenerateContract:
             assert len(pts) >= 1 if rows is None else len(pts) == rows
             assert np.all((pts >= lo) & (pts <= hi))
         assert _generate(argv)[:3] == (code, out, err)
+
+
+# Edits of the CSV contract test, applied to a drawn row: a blank line before
+# it, one cell too few or too many, or a cell that is out of the unit box,
+# not finite or not a number.
+_CSV_EDITS = ["blank", "short", "long", "out", "nan", "inf", "-inf", "abc", ""]
+
+
+@st.composite
+def csv_inputs(draw):
+    """(text, rows): CSV text with d <= 6 and at most 200 data rows, with or
+    without a header, and with up to three edits (blank, ragged and bad
+    lines); an empty file is the case of no rows and no header."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 200))
+    rs = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = [",".join(map(repr, row)) for row in rs.random((n, d)).tolist()]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        i = draw(st.integers(0, n - 1))
+        edit = draw(st.sampled_from(_CSV_EDITS))
+        cells = lines[i].split(",")
+        if edit == "blank":
+            lines[i] = "\n" + lines[i]
+        elif edit == "short":
+            lines[i] = ",".join(cells[:-1])
+        elif edit == "long":
+            lines[i] = lines[i] + ",0.5"
+        else:
+            cells[draw(st.integers(0, len(cells) - 1))] = "1.5" if edit == "out" else edit
+            lines[i] = ",".join(cells)
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"x{j}" for j in range(d)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(ln.replace("\n", end) for ln in lines)
+    if lines and draw(st.booleans()):
+        text += end
+    return text, _csv_rows(text)
+
+
+def _floats(line):
+    try:
+        return [float(c) for c in line.split(",")]
+    except ValueError:
+        return None
+
+
+def _csv_rows(text):
+    """Reference reader: the (n, d) data rows of CSV text, or None when the
+    text holds no data row or a line that must fail.  The first line is a
+    header when a cell of it is not a number, empty lines are skipped, and
+    every other line must hold the first data line's count of finite cells."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if lines and _floats(lines[0]) is None:
+        lines = lines[1:]
+    data = [_floats(ln) for ln in lines if ln]
+    if not data or None in data or any(len(row) != len(data[0]) for row in data):
+        return None
+    rows = np.array(data)
+    return rows if np.isfinite(rows).all() else None
+
+
+class TestCsvInputContract:
+    """score, latinize and subset on any CSV within the size bounds exit 0, 1
+    or 2, fail with exactly one spacefill: line and no traceback, and rerun
+    byte for byte.  They succeed exactly when the input is valid for them,
+    and then give the right rows: a report of every row, a Latin set of
+    them in the unit box, or n of them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(csv_inputs(), st.sampled_from(["score", "latinize", "subset"]), st.data())
+    def test_contract(self, case, command, data):
+        text, rows = case
+        k = data.draw(st.integers(1, 30))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            argv = [command, "--in", path]
+            if command != "score":
+                argv += ["--seed", str(data.draw(st.integers(0, 2**32 - 1)))]
+            if command == "subset":
+                argv += ["--n", str(k), "--segment", str(data.draw(st.integers(1, 250)))]
+            code, out, err, caught = _generate(argv)
+            assert _generate(argv)[:3] == (code, out, err)
+        assert code in (0, 1, 2) and caught == []
+        in_box = rows is not None and bool(np.all((rows >= 0.0) & (rows <= 1.0)))
+        valid = {"score": in_box and len(np.unique(rows, axis=0)) == len(rows) >= 2,
+                 "latinize": in_box,
+                 "subset": rows is not None and k <= len(rows)}[command]
+        assert (code == 0) == valid
+        if code:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("spacefill: ")
+            return
+        assert err == ""
+        if command == "score":
+            report = json.loads(out)
+            assert (report["n"], report["d"]) == rows.shape
+            return
+        got = np.array([[float(v) for v in ln.split(",")] for ln in out.splitlines()[1:]])
+        if command == "latinize":
+            assert got.shape == rows.shape
+            assert np.all((got >= 0.0) & (got <= 1.0))
+            assert_latin(got)
+        else:
+            assert got.shape == (k, rows.shape[1])
+            assert all((rows == row).all(axis=1).any() for row in got)
 
 
 class TestPiping:

@@ -1,7 +1,7 @@
 """Pinned output digests: Latinization, generation on plain, non-unit,
 viability and density domains (with and without an existing prefix), domain
-expansion, density rejection draws, the viability calls they make, and the
-CLI's CSV bytes at fixed seeds.
+expansion, density rejection draws, the viability calls they make, the
+CLI's CSV bytes at fixed seeds, and the quality metrics of fixed sets.
 
 A ``latinize`` digest is the sha256 of the output points followed by the
 caller's next ``random()`` draw, so a shifted RNG stream is caught as well as
@@ -9,7 +9,9 @@ a changed value.  A ``generate``, ``expand_domain`` or
 ``rejection_sample_density`` digest adds the next ``integers(1000)`` draw
 before that ``random()``.  A viability-call digest covers every point the
 predicate receives, in order.  A CLI digest is the sha256 of the ``--out``
-file.  A digest may change only in a change that says why in CHANGES.md.
+file.  A quality digest is the sha256 of a ``quality_report``'s nn min,
+mean and max, phi_p and CL2 as float64.  A digest may change only in a
+change that says why in CHANGES.md.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ from spacefill.adapt import (
     rejection_sample_density,
 )
 from spacefill.core import Domain, RngState, SampleSet
+from spacefill.metrics import quality_report
 from spacefill.samplers import generate, latinize
 
 
@@ -615,3 +618,47 @@ DENSITY_VIABLE_EXPAND_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(DENSITY_VIABLE_EXPAND_DIGESTS))
 def test_density_viable_expand_digest(name):
     assert density_viable_expand_digest(name) == DENSITY_VIABLE_EXPAND_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# Quality metrics
+# ---------------------------------------------------------------------------
+
+def _metric_case(name: str) -> SampleSet:
+    """Case names are ``<kind>-<n>x<d>``; kind is ``plain`` (uniform
+    points), ``neardup`` (point 7 is point 3 moved by 1e-9 along the first
+    axis) or ``lattice`` (a square grid, so many pair distances tie)."""
+    kind, shape = name.split("-")
+    n, d = (int(v) for v in shape.split("x"))
+    if kind == "lattice":
+        side = round(n ** (1.0 / d))
+        axes = [(np.arange(side) + 0.5) / side] * d
+        u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    else:
+        u = np.random.default_rng(3000 * n + d).random((n, d))
+    if kind == "neardup":
+        u[7] = u[3]
+        u[7, 0] += 1e-9 if u[7, 0] < 0.5 else -1e-9
+    return SampleSet(Domain.unit(d), u)
+
+
+def quality_digest(name: str) -> str:
+    report = quality_report(_metric_case(name))
+    values = [report.nn_min, report.nn_avg, report.nn_max, report.phi_p, report.cl2]
+    return _sha(np.array(values, dtype=np.float64).tobytes())
+
+
+QUALITY_DIGESTS = {
+    "lattice-100x2": "15369e495dabe0db9fc3f716272c857b8a43eb666a635a5ce84e6a3075048e35",
+    "lattice-64x3": "d675c740deed0e74b9c63bd918f5276a69ad224891d5412b66800e241369bb52",
+    "neardup-1000x10": "45dd03c35a0c2a157df4a1734e0cb354f31226b971b35ab1d04ed7070a8ac3fb",
+    "neardup-300x4": "efdcfb5b486042181d834ed55a9c00e345e76d87f22f76b9b7e8b16c15899c76",
+    "plain-1000x10": "025915b5d45e632ff88f2d5c570772b6c0c68e7d6b8911ba05763db7ced5d2d8",
+    "plain-1000x4": "0cb43378beaae62215980ea2585cc62b5a182beb18524ffde0abdeb7d94cee0d",
+    "plain-500x2": "9a080540c2ab8dd01610638a8f8475239f1502670fefda77029428e26d93d68a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUALITY_DIGESTS))
+def test_quality_digest(name):
+    assert quality_digest(name) == QUALITY_DIGESTS[name]

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import pdist
+from scipy.special import logsumexp
 
 from spacefill.core import Domain, RngState, SampleSet, min_pair
-from spacefill.metrics import cl2_discrepancy, nn_stats, phi_p, quality_report
+from spacefill.metrics import _logsumexp, cl2_discrepancy, nn_stats, phi_p, quality_report
 
 from conftest import brute_cl2, brute_cl2_chunked, brute_phi_p
 
@@ -89,6 +92,49 @@ class TestPhiP:
             grown = phi_p(_set(pts))
             assert grown >= base
             base = grown
+
+
+def _phi_p_terms(kind, n, d, seed, p):
+    """phi_p's log-sum-exp input for a set of the given kind: ``plain``
+    uniform points, a ``lattice`` (tied distances), ``neardup`` (point 1 is
+    point 0 moved by 1e-9), ``huge`` (coordinates near 1e200, so pair
+    distances overflow to inf) or ``far`` (one point 1e200 away)."""
+    rs = np.random.default_rng(seed)
+    if kind == "lattice":
+        side = max(2, round(n ** (1.0 / d)))
+        u = rs.integers(side, size=(n, d)) / side
+        u = np.unique(u, axis=0)
+    else:
+        u = rs.random((n, d))
+    if kind == "neardup":
+        u[1] = u[0]
+        u[1, 0] += 1e-9
+    elif kind == "huge":
+        u = (u - 0.5) * 4e200
+    elif kind == "far":
+        u[-1] = 1e200
+    if len(u) < 2:
+        u = np.vstack([u, u + 0.5])
+    return -p * (0.5 * np.log(pdist(u, "sqeuclidean")))
+
+
+class TestLogSumExp:
+    # scipy took its present logsumexp formula in 1.15; older releases
+    # round differently, while phi_p's bits stay pinned by the quality
+    # digests in test_digests.py.
+    @pytest.mark.skipif(tuple(int(x) for x in scipy.__version__.split(".")[:2]) < (1, 15),
+                        reason="scipy < 1.15 computes logsumexp with another formula")
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["plain", "lattice", "neardup", "huge", "far"]),
+           n=st.integers(2, 300), d=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           p=st.sampled_from([1, 2, 5, 50, 100]))
+    def test_bitwise_equal_to_scipy(self, kind, n, d, seed, p):
+        with np.errstate(over="ignore"):
+            v = _phi_p_terms(kind, n, d, seed, p)
+        want = logsumexp(v)
+        got = _logsumexp(v)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.float64(np.exp(got / p)).tobytes() == np.float64(np.exp(want / p)).tobytes()
 
 
 class TestCl2:
