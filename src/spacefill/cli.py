@@ -560,8 +560,19 @@ def render_scatter_svg(xy: np.ndarray, split: int) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (a missing flag, an invalid
+    choice, a value of the wrong type) raise ``CliError``, so that they exit
+    2 with one ``spacefill:`` line like any other bad input.  Subcommand
+    parsers are of the same class."""
+
+    def error(self, message):
+        command = self.prog.removeprefix("spacefill").strip()
+        raise CliError(f"{command}: {message}" if command else message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spacefill",
         description="Deterministic space-filling sampling, metrics, and benchmarks.",
     )
@@ -648,13 +659,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (CliError, ValueError) as err:
         print(f"spacefill: {err}", file=sys.stderr)
         return 2

@@ -402,8 +402,14 @@ def lhs_maximin(domain: Domain, n: int, rng: RngState,
 
     Every attempted interchange involves one endpoint of the current
     minimum-distance pair (swapping any other pair cannot raise the minimum).
-    Each attempt recomputes every pairwise distance, each pair once, into
-    one condensed buffer that the call allocates once.
+    An interchange changes only the 2(n - 1) pairs of its two rows, and every
+    other pair is at least the current minimum, so when a changed pair is at
+    or below it the swap is undone at once.  Otherwise every pairwise
+    distance is recomputed, each pair once, into one condensed buffer that
+    the call allocates once; that rebuild rejects a tie with an unchanged
+    pair and finds the new first closest pair in condensed order.  Both
+    kernels give a pair the same bits, so the output is that of rebuilding
+    on every attempt.
     With ``trace`` a list, one (try, attempt, new_min_distance) tuple is
     appended per accepted interchange.
     """
@@ -412,8 +418,9 @@ def lhs_maximin(domain: Domain, n: int, rng: RngState,
     d = domain.dim
     best = None
     best_min = -np.inf
-    pdist = _distance().pdist
+    cdist, pdist = _distance().cdist, _distance().pdist
     dist2 = np.empty(n * (n - 1) // 2)
+    changed = np.empty((2, n))
     for t in range(config.n_tries):
         x = _lhs_unit(rng, n, d, config.bin_placement)
         pdist(x, "sqeuclidean", out=dist2)
@@ -427,16 +434,19 @@ def lhs_maximin(domain: Domain, n: int, rng: RngState,
             if row == pick:
                 continue  # identity swap can never strictly improve
             x[pick, col], x[row, col] = x[row, col], x[pick, col]
-            pdist(x, "sqeuclidean", out=dist2)
-            k = int(np.argmin(dist2))
-            new_min = dist2[k]
-            if new_min > cur_min:
-                cur_min = new_min
-                i1, i2 = condensed_pair(k, n)
-                if trace is not None:
-                    trace.append((t, attempt, float(math.sqrt(new_min))))
-            else:
-                x[pick, col], x[row, col] = x[row, col], x[pick, col]
+            cdist(x[[pick, row]], x, "sqeuclidean", out=changed)
+            changed[0, pick] = changed[1, row] = np.inf
+            if changed.min() > cur_min:
+                pdist(x, "sqeuclidean", out=dist2)
+                k = int(np.argmin(dist2))
+                new_min = dist2[k]
+                if new_min > cur_min:
+                    cur_min = new_min
+                    i1, i2 = condensed_pair(k, n)
+                    if trace is not None:
+                        trace.append((t, attempt, float(math.sqrt(new_min))))
+                    continue
+            x[pick, col], x[row, col] = x[row, col], x[pick, col]
         if cur_min > best_min:
             best_min = cur_min
             best = x.copy()

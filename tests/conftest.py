@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet, SamplingError
-from spacefill.samplers import _place_in_bin
+from spacefill.core import (Domain, RegionTooSmallError, RngState, SampleSet, SamplingError,
+                            squared_distance_matrix)
+from spacefill.samplers import _lhs_unit, _place_in_bin
 
 
 def format_row(row) -> str:
@@ -140,6 +141,43 @@ def brute_latinize(sample_set, rng):
             nv = float(_place_in_bin(rank, rng.random(), n))
             new_pts[idx, j] = dom.lower[j] + nv * (dom.upper[j] - dom.lower[j])
     return SampleSet(dom, new_pts)
+
+
+def brute_lhs_maximin(domain, n, rng, config, trace=None):
+    """Maximin LHS that rebuilds the full squared-distance matrix on every
+    attempted interchange.  Returns (sample set, tie count), where the tie
+    count is the number of attempts whose changed pairs were all farther
+    than the current minimum but that an unchanged pair tied, so that only
+    a rebuild can reject them."""
+    best, best_min, ties = None, -math.inf, 0
+    for t in range(config.n_tries):
+        x = _lhs_unit(rng, n, domain.dim, config.bin_placement)
+        d2 = squared_distance_matrix(x)
+        np.fill_diagonal(d2, np.inf)
+        i1, i2 = divmod(int(np.argmin(d2)), n)
+        cur_min = d2[i1, i2]
+        for attempt in range(config.n_interchanges):
+            pick = i1 if rng.integers(2) == 0 else i2
+            col = rng.integers(domain.dim)
+            row = rng.integers(n)
+            if row == pick:
+                continue
+            x[pick, col], x[row, col] = x[row, col], x[pick, col]
+            d2 = squared_distance_matrix(x)
+            np.fill_diagonal(d2, np.inf)
+            k = int(np.argmin(d2))
+            if d2[k // n, k % n] > cur_min:
+                cur_min = d2[k // n, k % n]
+                i1, i2 = divmod(k, n)
+                if trace is not None:
+                    trace.append((t, attempt, math.sqrt(cur_min)))
+            else:
+                if min(d2[pick].min(), d2[row].min()) > cur_min:
+                    ties += 1
+                x[pick, col], x[row, col] = x[row, col], x[pick, col]
+        if cur_min > best_min:
+            best_min, best = cur_min, x.copy()
+    return SampleSet(domain, domain.from_unit(best)), ties
 
 
 def brute_draw_unit_batch(rng, domain, count, cap, exclude=None):

@@ -996,3 +996,54 @@ class TestPlot:
         code, _, _ = run_out(capsys, "plot", "--in", str(src), "--out",
                              str(tmp_path / "x.svg"))
         assert code == 2
+
+
+class TestUsageErrors:
+    """Every argparse usage error exits 2 with one ``spacefill:`` line on
+    stderr and nothing on stdout; ``--help`` still prints its usage."""
+
+    CASES = {
+        "none": ([], "the following arguments are required: command"),
+        "unknown-command": (["bogus"], "argument command: invalid choice: 'bogus'"),
+        "unrecognized": (["score", "--in", "f.csv", "--extra"], "unrecognized arguments: --extra"),
+        "generate-choice": (["generate", "--algo", "nope"], "generate: argument --algo: invalid choice"),
+        "generate-int": (["generate", "--dim", "two"], "generate: argument --dim: invalid int value"),
+        "generate-value": (["generate", "--n"], "generate: argument --n: expected one argument"),
+        "score-missing": (["score"], "score: the following arguments are required: --in"),
+        "score-int": (["score", "--in", "f.csv", "--p", "1.5"], "score: argument --p: invalid int value"),
+        "latinize-missing": (["latinize", "--seed", "1"], "latinize: the following arguments are required: --in"),
+        "latinize-int": (["latinize", "--in", "f.csv", "--seed", "x"], "latinize: argument --seed: invalid int value"),
+        "subset-missing": (["subset", "--in", "f.csv", "--n", "5"],
+                           "subset: the following arguments are required: --segment"),
+        "subset-int": (["subset", "--in", "f.csv", "--n", "5", "--segment", "1e3"],
+                       "subset: argument --segment: invalid int value"),
+        "expand-missing": (["expand", "--in", "f.csv", "--new-lower", "0"],
+                           "expand: the following arguments are required: --new-upper"),
+        "expand-choice": (["expand", "--in", "f.csv", "--new-lower", "0", "--new-upper", "1",
+                           "--algo", "cvt"], "expand: argument --algo: invalid choice"),
+        "expand-int": (["expand", "--in", "f.csv", "--new-lower", "0", "--new-upper", "1",
+                        "--add", "many"], "expand: argument --add: invalid int value"),
+        "append-region-missing": (["append-region", "--n", "5"],
+                                  "append-region: the following arguments are required: --anchors"),
+        "append-region-float": (["append-region", "--anchors", "f.csv", "--n", "5", "--halfwidth", "wide"],
+                                "append-region: argument --halfwidth: invalid float value"),
+        "bench-missing": (["bench"], "bench: one of the arguments --suite --spec is required"),
+        "bench-choice": (["bench", "--suite", "mine"], "bench: argument --suite: invalid choice"),
+        "bench-int": (["bench", "--suite", "paper", "--reps-override", "2.0"],
+                      "bench: argument --reps-override: invalid int value"),
+        "plot-missing": (["plot", "--in", "f.csv"], "plot: the following arguments are required: --out"),
+        "plot-int": (["plot", "--in", "f.csv", "--out", "f.svg", "--split", "half"],
+                     "plot: argument --split: invalid int value"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_line_exit_2(self, capsys, case):
+        argv, message = self.CASES[case]
+        code, out, err = run_out(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"spacefill: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["subset", "--help"]])
+    def test_help_unchanged(self, capsys, argv):
+        code, out, err = run_out(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: spacefill")

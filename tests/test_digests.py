@@ -569,6 +569,39 @@ def test_rejection_density_digest(name):
 
 
 # ---------------------------------------------------------------------------
+# Maximin LHS with a few hundred interchanges
+# ---------------------------------------------------------------------------
+
+LHS_MAXIMIN_RUNS = {"center": (3, 150), "random": (2, 200)}
+
+
+def lhs_maximin_digest(name: str) -> str:
+    """Case names are ``<center|random>-<unit|box>-<n>x<d>``.  Center
+    placement ties many pair distances, so many attempts are rejected only
+    by a tie with a pair that the interchange did not change."""
+    placement, kind, shape = name.split("-")
+    n, d = (int(v) for v in shape.split("x"))
+    tries, interchanges = LHS_MAXIMIN_RUNS[placement]
+    rng = RngState(101 + d)
+    out = generate("lhs-maximin", _domain(kind, d), n, rng,
+                   {"ntries": tries, "ninterchanges": interchanges, "placement": placement})
+    return _sha(out.points.tobytes() + _stream_tail(rng))
+
+
+LHS_MAXIMIN_DIGESTS = {
+    "center-box-120x2": "386f14bd7c496348ca4741877eba1adec0e099f2271452bd0fd01b96a72b266b",
+    "center-unit-120x2": "598efe53675730dcad2478cae907147b67a2673565d833abe7655cdea6cbaf89",
+    "random-box-100x10": "16bde150ec24bacc2e32d7264a7f11e03f20ef2dc287d7f3271c6f5b933d1d05",
+    "random-unit-100x10": "3b8e1d1f238fb239ee288080a10bda1e93105a8bcd27c7ef6a8c6d41a0b8bf4f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LHS_MAXIMIN_DIGESTS))
+def test_lhs_maximin_digest(name):
+    assert lhs_maximin_digest(name) == LHS_MAXIMIN_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
 # Expansion onto a box with both a viability and a density
 # ---------------------------------------------------------------------------
 
