@@ -46,9 +46,13 @@ class QualityReport:
 
 
 def nn_stats(sample_set: SampleSet):
-    """(min, mean, max) of the nearest-neighbor distances."""
+    """(min, mean, max) of the nearest-neighbor distances.  A squared
+    distance that overflows float64 is an error."""
     nn = nearest_neighbor_distances(sample_set)
-    return float(nn.min()), float(nn.mean()), float(nn.max())
+    mx = float(nn.max())
+    if mx == np.inf:
+        raise ValueError("squared nearest-neighbor distance overflows float64; scale the set first")
+    return float(nn.min()), float(nn.mean()), mx
 
 
 def _logsumexp(v: np.ndarray) -> np.float64:
@@ -75,7 +79,8 @@ def phi_p(sample_set: SampleSet, p: int = DEFAULT_P) -> float:
     distances.  The reduction is fixed here, so its bits depend on numpy
     alone: the result is ``exp(L / p)``, where L is ``_logsumexp`` of
     ``v = -p * (0.5 * log(d2))`` over the squared distances d2 in condensed
-    (row-major, i < j) order.  Duplicate points are an error.
+    (row-major, i < j) order.  Duplicate points are an error, and so is a
+    squared distance that overflows float64.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
@@ -87,6 +92,8 @@ def phi_p(sample_set: SampleSet, p: int = DEFAULT_P) -> float:
         # The first zero in condensed order is the pair min_pair reports.
         i, j = condensed_pair(int(np.argmin(d2)), n)
         raise ValueError(f"duplicate points at indices ({i}, {j}): phi_p is undefined")
+    if d2.max() == np.inf:
+        raise ValueError("squared pair distance overflows float64; scale the set first")
     log_d = 0.5 * np.log(d2)
     return float(np.exp(_logsumexp(-p * log_d) / p))
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from spacefill.core import (
     Domain,
@@ -263,6 +263,15 @@ class TestCondensedPairs:
         x = RngState(100 + d).random((60, d))
         upper = cdist(x, x, "sqeuclidean")[np.triu_indices(60, 1)]
         assert np.array_equal(pdist(x, "sqeuclidean"), upper)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_two_row_cdist_equals_pdist(self, d):
+        # lhs_maximin rejects a swap from a 2 x n cdist of the two swapped
+        # rows and accepts it from pdist; both must give a pair the same bits.
+        x = RngState(200 + d).random((60, d))
+        full = squareform(pdist(x, "sqeuclidean"))
+        for rows in ([0, 59], [17, 3], [42, 43]):
+            assert np.array_equal(cdist(x[rows], x, "sqeuclidean"), full[rows])
 
     def test_pdist_equals_cdist_on_tied_lattice(self):
         x = np.indices((5, 4, 3)).reshape(3, -1).T / np.array([4.0, 3.0, 2.0])

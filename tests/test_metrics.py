@@ -18,6 +18,16 @@ def _set(points, dim=None):
     return SampleSet(Domain.unit(dim or pts.shape[1]), pts)
 
 
+# Finite sets whose squared distances overflow float64: every pair of the
+# triple, and only the pairs across the two far pairs.
+FAR_TRIPLE = [[-1e200, -1e200], [1e200, 1e200], [1e200, -1e200]]
+TWO_FAR_PAIRS = [[-1e200, 0.0], [-1e200, 1.0], [1e200, 0.0], [1e200, 1.0]]
+
+
+def _wide(points):
+    return SampleSet(Domain([-1e200, -1e200], [1e200, 1e200]), points)
+
+
 class TestNnStats:
     def test_1d_hand_example(self):
         mn, avg, mx = nn_stats(_set([[0.0], [0.4], [1.0]]))
@@ -29,6 +39,13 @@ class TestNnStats:
         with pytest.raises(ValueError):
             nn_stats(_set([[0.5, 0.5]]))
 
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflows float64"):
+            nn_stats(_wide(FAR_TRIPLE))
+
+    def test_far_pairs_that_are_no_nearest_neighbor_are_fine(self):
+        assert nn_stats(_wide(TWO_FAR_PAIRS)) == (1.0, 1.0, 1.0)
+
 
 class TestPhiP:
     def test_two_points_closed_form(self):
@@ -39,6 +56,16 @@ class TestPhiP:
         h = math.sqrt(3.0) / 2.0
         s = _set([[0.0, 0.0], [1.0, 0.0], [0.5, h]])
         assert phi_p(s, p=50) == pytest.approx(3.0 ** (1.0 / 50.0), rel=1e-12)
+
+    @pytest.mark.parametrize("points", [FAR_TRIPLE, TWO_FAR_PAIRS])
+    def test_overflow_raises(self, points):
+        with pytest.raises(ValueError, match="overflows float64"):
+            phi_p(_wide(points))
+
+    def test_largest_finite_squared_distance(self):
+        # d2 = 1e308 is still finite, so phi_p is the inverse distance.
+        s = SampleSet(Domain([0.0], [1e154]), [[0.0], [1e154]])
+        assert phi_p(s) == pytest.approx(1e-154, rel=1e-12)
 
     def test_duplicates_error_names_pair(self):
         s = _set([[0.1, 0.1], [0.5, 0.5], [0.1, 0.1]])

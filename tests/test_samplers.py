@@ -22,7 +22,7 @@ from spacefill.samplers import (
 )
 
 from conftest import (assert_latin, brute_draw_unit_batch, brute_draw_unit_density,
-                      brute_latinize, brute_poisson_disk)
+                      brute_latinize, brute_lhs_maximin, brute_poisson_disk)
 
 
 @st.composite
@@ -433,6 +433,27 @@ class TestLhsMaximin:
     def test_requires_two(self, unit2, rng):
         with pytest.raises(ValueError):
             sf.lhs_maximin(unit2, 1, rng)
+
+    # Center-placement (d, n) cases in which an unchanged pair ties the
+    # minimum while every changed pair is farther, so only the rebuild
+    # rejects the attempt.
+    CENTER_TIES = {(2, 50), (2, 200), (3, 50), (10, 50)}
+
+    @pytest.mark.parametrize("placement", list(BinPlacement))
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("n", [2, 3, 50, 200])
+    def test_matches_full_rebuild_reference(self, placement, d, n):
+        cfg = LhsConfig(n_tries=2, n_interchanges=150, bin_placement=placement)
+        dom = Domain.unit(d)
+        rng, ref_rng = RngState(7 * n + d), RngState(7 * n + d)
+        trace, ref_trace = [], []
+        out = sf.lhs_maximin(dom, n, rng, cfg, trace=trace)
+        ref, ties = brute_lhs_maximin(dom, n, ref_rng, cfg, trace=ref_trace)
+        assert np.array_equal(out.points, ref.points)
+        assert trace == ref_trace
+        assert rng.random() == ref_rng.random()
+        if placement is BinPlacement.BIN_CENTER and (d, n) in self.CENTER_TIES:
+            assert ties > 0
 
 
 class TestLatinize:
