@@ -660,10 +660,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
         return args.func(args)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
     except (CliError, ValueError) as err:
         print(f"spacefill: {err}", file=sys.stderr)
         return 2

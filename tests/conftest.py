@@ -165,10 +165,9 @@ def brute_lhs_maximin(domain, n, rng, config, trace=None):
             x[pick, col], x[row, col] = x[row, col], x[pick, col]
             d2 = squared_distance_matrix(x)
             np.fill_diagonal(d2, np.inf)
-            k = int(np.argmin(d2))
-            if d2[k // n, k % n] > cur_min:
-                cur_min = d2[k // n, k % n]
-                i1, i2 = divmod(k, n)
+            i, j = divmod(int(np.argmin(d2)), n)
+            if d2[i, j] > cur_min:
+                cur_min, i1, i2 = d2[i, j], i, j
                 if trace is not None:
                     trace.append((t, attempt, math.sqrt(cur_min)))
             else:

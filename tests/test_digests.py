@@ -1,7 +1,8 @@
 """Pinned output digests: Latinization, generation on plain, non-unit,
 viability and density domains (with and without an existing prefix), domain
-expansion, density rejection draws, the viability calls they make, the
-CLI's CSV bytes at fixed seeds, and the quality metrics of fixed sets.
+expansion, density rejection draws, the viability calls they make, maximin
+LHS with a few hundred interchanges, the CLI's CSV bytes at fixed seeds, and
+the quality metrics of fixed sets.
 
 A ``latinize`` digest is the sha256 of the output points followed by the
 caller's next ``random()`` draw, so a shifted RNG stream is caught as well as
