@@ -41,10 +41,12 @@ def write_samples(points: np.ndarray, out) -> None:
     out.write(",".join(f"x{j}" for j in range(dim)) + "\n")
     # "%.17g" % v formats a float exactly as f"{v:.17g}" does: 17 significant
     # digits, which round-trip every double.
-    # Rows become Python floats a block at a time, which bounds the memory.
+    # A block of 1024 rows becomes Python floats and text in one % call,
+    # which bounds the memory.
     row_format = ",".join(["%.17g"] * dim) + "\n"
     for start in range(0, points.shape[0], 1024):
-        out.writelines(row_format % tuple(row) for row in points[start:start + 1024].tolist())
+        block = points[start:start + 1024]
+        out.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _parse_data_line(line: str, lineno: int, dim) -> np.ndarray:
@@ -60,26 +62,36 @@ def _parse_data_line(line: str, lineno: int, dim) -> np.ndarray:
     return row
 
 
+# The characters of a block that np.loadtxt may convert: printable ASCII and
+# the tab, which np.loadtxt and float() both strip around a cell.
+_LOADTXT_CHARS = b"\t" + bytes(range(0x20, 0x7F))
+
+
 def _parse_lines(lines: list, linenos: list, dim) -> np.ndarray:
     """Data lines as one (len(lines), d) array; d is dim or, when dim is None,
     the first line's column count.
 
-    All cells go through one float() pass and one finiteness check.  A
-    ragged line, a cell float() rejects, or a nan or infinite cell falls back
-    to _parse_data_line line by line, which raises the error of the first bad
-    line with its line number.
+    A block of printable ASCII and tabs goes through one np.loadtxt call and
+    one finiteness check.  np.loadtxt parses a double with the correctly rounded
+    conversion float() uses, so each cell it takes has float()'s bits.  It
+    rejects some cells float() takes, such as 1_0, but it also strips
+    control characters float() rejects, such as \x1c; those never reach it.
+    A block np.loadtxt rejects (a ragged line, a bad cell), a block of the
+    wrong shape, a nan or infinite cell, or any other character falls back to
+    _parse_data_line line by line, which parses as float() does and raises
+    the error of the first bad line with its line number.
     """
-    if dim is None:
-        dim = lines[0].count(",") + 1
-    if all(line.count(",") == dim - 1 for line in lines):
+    text = "".join(lines)
+    if text.isascii() and not text.encode().translate(None, _LOADTXT_CHARS):
         try:
-            cells = list(map(float, ",".join(lines).split(",")))
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
         else:
-            rows = np.array(cells).reshape(len(lines), dim)
-            if np.isfinite(rows).all():
+            if rows.shape == (len(lines), dim or rows.shape[1]) and np.isfinite(rows).all():
                 return rows
+    if dim is None:
+        dim = lines[0].count(",") + 1
     return np.array([_parse_data_line(line, n, dim) for line, n in zip(lines, linenos)])
 
 

@@ -377,13 +377,26 @@ def min_squared_dists(candidates: np.ndarray, selected: np.ndarray) -> np.ndarra
 def nearest_neighbor_distances(sample_set: SampleSet) -> np.ndarray:
     """Distance of each sample to its nearest neighbor (brute force).
 
-    Requires at least two points; output has one entry per sample.
+    Requires at least two points; output has one entry per sample.  The
+    squared distances are taken in blocks of 256 rows against all points,
+    self-pairs read as inf, so memory is O(256 n).  A nearest-neighbor
+    squared distance that overflows float64 is an error.
     """
     n = len(sample_set)
     if n < 2:
         raise ValueError("nearest-neighbor distances require at least 2 points")
-    d2 = squared_distance_matrix(sample_set.points)
-    return np.sqrt(d2.min(axis=1))
+    pts = sample_set.points
+    cdist = _distance().cdist
+    chunk = 256
+    nn2 = np.empty(n)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        d2 = cdist(pts[start:stop], pts, "sqeuclidean")
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        d2.min(axis=1, out=nn2[start:stop])
+    if nn2.max() == np.inf:
+        raise ValueError("squared nearest-neighbor distance overflows float64; scale the set first")
+    return np.sqrt(nn2)
 
 
 def condensed_pair(k, n: int):
@@ -401,7 +414,8 @@ def min_pair(sample_set: SampleSet):
     """Indices and distance of the globally closest pair, computing each
     pair's distance once.
 
-    Ties are broken by the lexicographically smallest (i, j) with i < j.
+    Ties are broken by the lexicographically smallest (i, j) with i < j.  A
+    closest squared distance that overflows float64 is an error.
     """
     n = len(sample_set)
     if n < 2:
@@ -410,6 +424,8 @@ def min_pair(sample_set: SampleSet):
     # The first minimum in condensed (row-major, i < j) order is the
     # lexicographically smallest closest pair.
     k = int(np.argmin(d2))
+    if d2[k] == np.inf:
+        raise ValueError("squared pair distance overflows float64; scale the set first")
     i, j = condensed_pair(k, n)
     return int(i), int(j), float(np.sqrt(d2[k]))
 

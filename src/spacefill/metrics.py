@@ -49,24 +49,23 @@ def nn_stats(sample_set: SampleSet):
     """(min, mean, max) of the nearest-neighbor distances.  A squared
     distance that overflows float64 is an error."""
     nn = nearest_neighbor_distances(sample_set)
-    mx = float(nn.max())
-    if mx == np.inf:
-        raise ValueError("squared nearest-neighbor distance overflows float64; scale the set first")
-    return float(nn.min()), float(nn.mean()), mx
+    return float(nn.min()), float(nn.mean()), float(nn.max())
 
 
 def _logsumexp(v: np.ndarray) -> np.float64:
-    """log(sum(exp(v))) of a 1-D float array: with ``top = max(v)`` and m
-    the count of entries equal to it, s is the sum of ``exp(v - top)`` with
-    those entries read as 0, divided by m unless it is 0, and the result is
+    """log(sum(exp(v))) of a 1-D float array, computed in place, so v is
+    overwritten: with ``top = max(v)`` and m the count of entries equal to
+    it, s is the sum of ``exp(v - top)`` with those entries read as 0,
+    divided by m unless it is 0, and the result is
     ``log1p(s) + log(m) + top``, each step on a one-element array."""
     with np.errstate(divide="ignore", invalid="ignore"):
         top = v.max(keepdims=True)
         hit = v == top
         m = np.array([np.count_nonzero(hit)], dtype=float)
-        e = v - top
-        e[hit] = -np.inf
-        s = np.exp(e, out=e).sum(keepdims=True)
+        v -= top
+        v[hit] = -np.inf
+        del hit
+        s = np.exp(v, out=v).sum(keepdims=True)
         s = s if s[0] == 0 else s / m
         out = np.log1p(s) + np.log(m) + top
     return out[0]
@@ -94,8 +93,11 @@ def phi_p(sample_set: SampleSet, p: int = DEFAULT_P) -> float:
         raise ValueError(f"duplicate points at indices ({i}, {j}): phi_p is undefined")
     if d2.max() == np.inf:
         raise ValueError("squared pair distance overflows float64; scale the set first")
-    log_d = 0.5 * np.log(d2)
-    return float(np.exp(_logsumexp(-p * log_d) / p))
+    # v = -p * (0.5 * log(d2)), step by step in d2's own buffer.
+    v = np.log(d2, out=d2)
+    v *= 0.5
+    v *= -p
+    return float(np.exp(_logsumexp(v) / p))
 
 
 def cl2_discrepancy(sample_set: SampleSet, chunk: int = 256) -> float:

@@ -723,25 +723,29 @@ def greedy_fp(domain: Domain, n: int, rng: RngState, config: FpConfig = FpConfig
 
 def _bc_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
             exist_u: np.ndarray) -> np.ndarray:
-    """Best-candidate core over a candidate domain; returns new unit points."""
-    selected = []
-    if len(exist_u) == 0:
-        selected.append(_draw_points(rng, domain, 1)[0])
-    scored = np.vstack([exist_u, *selected]) if selected else exist_u
-    while len(selected) < n:
-        i_total = len(exist_u) + len(selected) + 1
+    """Best-candidate core over a candidate domain; returns new unit points.
+
+    The existing points and the winners fill one buffer in order, and each
+    batch is scored against its filled prefix; a winner is copied out of its
+    batch, so no batch outlives its step."""
+    filled = len(exist_u)
+    scored = np.empty((filled + n, domain.dim))
+    scored[:filled] = exist_u
+    if filled == 0:
+        scored[0] = _draw_points(rng, domain, 1)[0]
+        filled = 1
+    while filled < len(scored):
         if config.n_cand_fixed is not None:
             n_cand = config.n_cand_fixed
         else:
-            n_cand = config.scale * i_total
+            n_cand = config.scale * (filled + 1)
             if config.max_cand is not None:
                 n_cand = min(n_cand, config.max_cand)
         batch = _draw_unit_batch(rng, domain, n_cand)
-        min_d2 = min_squared_dists(batch, scored)
-        idx = int(np.argmax(_scores(min_d2, _density_values(domain, batch))))
-        selected.append(batch[idx])
-        scored = np.vstack([scored, batch[idx]])
-    return np.asarray(selected)
+        min_d2 = min_squared_dists(batch, scored[:filled])
+        scored[filled] = batch[int(np.argmax(_scores(min_d2, _density_values(domain, batch))))]
+        filled += 1
+    return scored[len(exist_u):]
 
 
 def best_candidate(domain: Domain, n: int, rng: RngState,

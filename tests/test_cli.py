@@ -413,6 +413,20 @@ class TestPiping:
         assert src.read_bytes() == back.read_bytes()
         assert np.array_equal(cli.read_samples(str(back)), pts)
 
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_write_matches_per_row_reference(self, n, order):
+        """A block of rows formatted by one % call gives the bytes of "%.17g"
+        row by row, across the 1,024-row block boundary."""
+        pts = np.random.default_rng(n).standard_normal((n, 3)) * 10.0 ** np.arange(-150, 150, 100)
+        pts[0] = [-0.0, 5e-324, 1 / 3]
+        pts = np.asarray(pts, order=order)
+        out = io.StringIO()
+        cli.write_samples(pts, out)
+        want = "x0,x1,x2\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                      for row in pts.tolist())
+        assert out.getvalue() == want
+
 
 class TestScore:
     def test_three_point_file(self, tmp_path, capsys):
@@ -654,6 +668,48 @@ class TestCsvParsing:
         with pytest.raises(cli.CliError) as err:
             cli.read_samples(str(f))
         assert str(err.value) == message
+
+
+# Cells float() and np.loadtxt disagree on, or that are edge values: the
+# ASCII separators and other characters str.isspace() counts, tabs, an
+# underscore, full-width digits, spaces only, an overflow and the smallest
+# subnormal.
+_ODD_CELLS = ["\x1c0.5", "0.5\x1d", "\x1e0.5", "0.5\x1f", "\x0b0.5", "0.5\x0c", "\x850.5",
+              "0.5\xa0", "\t0.5 \t", "0.\t5", "1_0", "\uff10.\uff15", "   ", "1e400", "4.9e-324"]
+
+
+class TestBlockParserAcceptSet:
+    """A cell reads as a number exactly when float() accepts it, with
+    float()'s bits, in a block on either side of the 4,096-line boundary,
+    through read_samples and CsvRecordStream, from a file and from stdin."""
+
+    @pytest.mark.parametrize("lineno", [4096, 4097])
+    @pytest.mark.parametrize("cell, source", [(c, s) for c in _ODD_CELLS for s in ("file", "stdin")]
+                             # Only a text stream leaves a \r inside a line.
+                             + [("0.2\r5", "stdin")])
+    def test_cell_reads_as_float_reads_it(self, tmp_path, monkeypatch, lineno, cell, source):
+        lines = ["x0,x1"] + [format_row(row) for row in np.random.default_rng(lineno).random((5000, 2))]
+        lines[lineno - 1] = f"0.25,{cell}"
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "cells.csv"
+        path.write_bytes(text.encode())
+        try:
+            value = float(cell)
+        except ValueError:
+            want = f"line {lineno}: non-numeric cell"
+        else:
+            want = _reference_records(str(path))[0] if math.isfinite(value) else \
+                f"line {lineno}: non-finite cell"
+        src = str(path) if source == "file" else "-"
+        for read in (cli.read_samples, lambda p: np.array(list(cli.CsvRecordStream(p)))):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            if isinstance(want, str):
+                with pytest.raises(cli.CliError) as err:
+                    read(src)
+                assert str(err.value) == want
+            else:
+                got = read(src)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestNonFiniteCells:

@@ -13,9 +13,16 @@ from spacefill.core import (
     nearest_neighbor_distances,
     scale_from_unit,
     scale_to_unit,
+    squared_distance_matrix,
 )
 
 from conftest import brute_min_pair, brute_nn_distances
+
+# Finite sets whose squared distances overflow float64: every pair of the
+# triple, and only the pairs across the two far pairs.
+_WIDE = Domain([-1e200, -1e200], [1e200, 1e200])
+FAR_TRIPLE = SampleSet(_WIDE, [[-1e200, -1e200], [1e200, 1e200], [1e200, -1e200]])
+TWO_FAR_PAIRS = SampleSet(_WIDE, [[-1e200, 0.0], [-1e200, 1.0], [1e200, 0.0], [1e200, 1.0]])
 
 
 class TestDomain:
@@ -209,6 +216,25 @@ class TestNearestNeighbor:
         with pytest.raises(ValueError):
             nearest_neighbor_distances(SampleSet(unit2, [[0.5, 0.5]]))
 
+    @pytest.mark.parametrize("n, d", [(255, 3), (256, 2), (257, 4), (600, 10)])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_row_blocks_equal_full_matrix(self, n, d, lattice):
+        """Blocks of 256 rows give each distance the bits of one (n, n)
+        matrix, ties and duplicate points included."""
+        pts = RngState(n * d).random((n, d))
+        if lattice:
+            pts = np.round(pts * 4) / 4
+        want = np.sqrt(squared_distance_matrix(pts).min(axis=1))
+        got = nearest_neighbor_distances(SampleSet(Domain.unit(d), pts))
+        assert got.tobytes() == want.tobytes()
+
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflows float64"):
+            nearest_neighbor_distances(FAR_TRIPLE)
+
+    def test_far_pairs_that_are_no_nearest_neighbor_are_fine(self):
+        assert nearest_neighbor_distances(TWO_FAR_PAIRS).tolist() == [1.0] * 4
+
 
 class TestMinPair:
     def test_1d_hand_example(self):
@@ -228,6 +254,13 @@ class TestMinPair:
     def test_requires_two_points(self, unit2):
         with pytest.raises(ValueError):
             min_pair(SampleSet(unit2, [[0.5, 0.5]]))
+
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflows float64"):
+            min_pair(FAR_TRIPLE)
+
+    def test_far_pairs_beyond_the_closest_are_fine(self):
+        assert min_pair(TWO_FAR_PAIRS) == (0, 1, 1.0)
 
     def test_several_equal_pairs_give_the_smallest(self):
         # Four equally close pairs, listed out of order: (1, 4), (0, 3),

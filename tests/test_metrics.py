@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from scipy.special import logsumexp
 from spacefill.core import Domain, RngState, SampleSet, min_pair
 from spacefill.metrics import _logsumexp, cl2_discrepancy, nn_stats, phi_p, quality_report
 
-from conftest import brute_cl2, brute_cl2_chunked, brute_phi_p
+from conftest import brute_cl2, brute_cl2_chunked, brute_phi_p, format_row
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _set(points, dim=None):
@@ -224,3 +229,25 @@ class TestQualityReport:
     def test_to_dict_keys(self):
         q = quality_report(_set([[0.2, 0.2], [0.8, 0.8]]))
         assert set(q.to_dict()) == {"nnMin", "nnAvg", "nnMax", "phiP", "p", "cl2", "n", "d"}
+
+
+def test_score_peak_rss_on_8000_points(tmp_path):
+    """``score`` on 8,000 x 4 rows peaks under 512 MB in a fresh interpreter.
+    phi_p works in its one condensed buffer of 32 million doubles (256 MB),
+    and the nearest-neighbor distances are taken 256 rows at a time; one
+    more condensed buffer or one (n, n) matrix (512 MB) breaks the bound."""
+    path = tmp_path / "s.csv"
+    rows = RngState(8000).random((8000, 4))
+    path.write_text("x0,x1,x2,x3\n" + "".join(format_row(r) + "\n" for r in rows))
+    script = "\n".join([
+        "import resource, sys",
+        f"sys.path.insert(0, {str(SRC)!r})",
+        "from spacefill import cli",
+        f"rc = cli.main(['score', '--in', {str(path)!r}])",
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, check=True)
+    rc, peak_kib = done.stdout.split()[-2:]
+    assert rc == "0"
+    assert int(peak_kib) < 512 * 1024

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -683,6 +684,21 @@ class TestBestCandidate:
         # the 1-row first draw, then min(scale*i, max_cand) candidates for
         # sample i = 2..6
         assert draw_sizes == [1, 6, 9, 12, 12, 12]
+
+    def test_peak_memory_is_one_distance_block(self):
+        """Each winner is copied into one preallocated buffer, so no batch
+        outlives its step.  At 10D with n = 500 the traced peak is about one
+        250 x 500 block of squared distances (1 MB); a 250 x 10 batch kept
+        alive per step would add 10 MB."""
+        domain = Domain.unit(10)
+        sf.best_candidate(domain, 5, RngState(35))  # imports scipy outside the trace
+        tracemalloc.start()
+        try:
+            sf.best_candidate(domain, 500, RngState(36))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_space_filling_beats_random(self, unit2):
         s = sf.best_candidate(unit2, 100, RngState(34), FpConfig(n_cand_fixed=250))
