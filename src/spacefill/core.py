@@ -357,40 +357,63 @@ def squared_distance_matrix(points: np.ndarray) -> np.ndarray:
     return d2
 
 
-def min_squared_dists(candidates: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    """Per-candidate minimum squared distance to the selected points.
+# Row-block rule of the distance kernels that reduce rows against m columns:
+# at most 256 rows, and at most 2^18 distances (2 MB) once m passes 1,024,
+# but never less than one row, so a row wider than the budget is one block.
+_BLOCK_ROWS = 256
+_BLOCK_DISTANCES = 1 << 18
 
-    Chunked over candidate rows so the distance blocks stay cache-resident;
-    large one-shot (candidates x selected) matrices are memory-bound.
-    """
+
+def _row_blocks(n: int, m: int):
+    """(start, stop) of each row block of n rows against m columns."""
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_DISTANCES // max(m, 1)))
+    for start in range(0, n, step):
+        yield start, min(start + step, n)
+
+
+def _reduce_rows(reduce, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``reduce(d2, axis=1)`` of the squared distances from the rows of a to
+    those of b, written into out one row block at a time.  A row's result
+    does not depend on the other rows of its block, so it has the bits of
+    one full (len(a), len(b)) matrix."""
+    cdist = _distance().cdist
+    for start, stop in _row_blocks(len(a), len(b)):
+        reduce(cdist(a[start:stop], b, "sqeuclidean"), axis=1, out=out[start:stop])
+    return out
+
+
+def min_squared_dists(candidates: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """Per-candidate minimum squared distance to the selected points,
+    computed in row blocks under the block rule (at most 256 candidates and
+    2^18 distances per block), so the distance blocks stay cache-resident."""
     if selected.shape[0] == 0:
         return np.full(candidates.shape[0], np.inf)
-    cdist = _distance().cdist
-    chunk = 256
-    out = np.empty(candidates.shape[0])
-    for start in range(0, candidates.shape[0], chunk):
-        stop = min(start + chunk, candidates.shape[0])
-        out[start:stop] = cdist(candidates[start:stop], selected, "sqeuclidean").min(axis=1)
-    return out
+    return _reduce_rows(np.ndarray.min, candidates, selected, np.empty(candidates.shape[0]))
+
+
+def nearest_labels(points: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest generator, ties to the lowest index,
+    computed in row blocks under the block rule."""
+    out = np.empty(points.shape[0], dtype=np.intp)
+    return _reduce_rows(np.ndarray.argmin, points, generators, out)
 
 
 def nearest_neighbor_distances(sample_set: SampleSet) -> np.ndarray:
     """Distance of each sample to its nearest neighbor (brute force).
 
     Requires at least two points; output has one entry per sample.  The
-    squared distances are taken in blocks of 256 rows against all points,
-    self-pairs read as inf, so memory is O(256 n).  A nearest-neighbor
-    squared distance that overflows float64 is an error.
+    squared distances are taken in row blocks under the block rule (at most
+    256 rows and 2^18 distances per block), self-pairs read as inf, so memory
+    is bounded by one block.  A nearest-neighbor squared distance that
+    overflows float64 is an error.
     """
     n = len(sample_set)
     if n < 2:
         raise ValueError("nearest-neighbor distances require at least 2 points")
     pts = sample_set.points
     cdist = _distance().cdist
-    chunk = 256
     nn2 = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start, stop in _row_blocks(n, n):
         d2 = cdist(pts[start:stop], pts, "sqeuclidean")
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         d2.min(axis=1, out=nn2[start:stop])

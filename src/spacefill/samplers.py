@@ -31,6 +31,7 @@ from .core import (
     _distance,
     condensed_pair,
     min_squared_dists,
+    nearest_labels,
 )
 
 __all__ = [
@@ -507,7 +508,8 @@ def cvt_sampling(domain: Domain, n: int, rng: RngState,
     """Probabilistic Lloyd iterations: each pass draws points-per-iteration
     samples from the density (uniform when absent), assigns them to the
     nearest generator, and blends each nonempty generator toward the mean of
-    its assigned points with a per-generator update counter.
+    its assigned points with a per-generator update counter.  The
+    assignment runs in core's row blocks of at most 2^18 squared distances.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -520,7 +522,7 @@ def cvt_sampling(domain: Domain, n: int, rng: RngState,
     m = np.ones(n)
     for _ in range(config.n_iter):
         pts = _draw_points(rng, domain, config.ppi)
-        labels = _nearest_labels(pts, gens)
+        labels = nearest_labels(pts, gens)
         sums = np.zeros_like(gens)
         np.add.at(sums, labels, pts)
         counts = np.bincount(labels, minlength=n)
@@ -535,16 +537,6 @@ def cvt_sampling(domain: Domain, n: int, rng: RngState,
         if math.sqrt(move2) < config.convergence_tol:
             break
     return SampleSet(domain, domain.from_unit(gens))
-
-
-def _nearest_labels(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    cdist = _distance().cdist
-    chunk = 8192
-    out = np.empty(pts.shape[0], dtype=int)
-    for start in range(0, pts.shape[0], chunk):
-        stop = min(start + chunk, pts.shape[0])
-        out[start:stop] = cdist(pts[start:stop], gens, "sqeuclidean").argmin(axis=1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 the library's vectorized paths."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,30 @@ import pytest
 from spacefill.core import (Domain, RegionTooSmallError, RngState, SampleSet, SamplingError,
                             squared_distance_matrix)
 from spacefill.samplers import _lhs_unit, _place_in_bin
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_peak_rss_kib(*lines: str):
+    """Run the lines as a script in a fresh interpreter that imports the
+    package from its source tree; return the script's stdout and its peak
+    resident set size in KiB.  The peak is the interpreter's own VmHWM:
+    ``ru_maxrss`` would also count the parent's resident set, which Linux
+    carries into the child's maximum when a vfork'ed child calls exec."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("peak RSS is read from /proc/self/status")
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(SRC)!r})",
+        *lines,
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, check=True)
+    out, _, peak = done.stdout.rstrip("\n").rpartition("\n")
+    return out, int(peak)
 
 
 def format_row(row) -> str:

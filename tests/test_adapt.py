@@ -14,7 +14,7 @@ from spacefill.core import (
     nearest_neighbor_distances,
 )
 
-from conftest import brute_greedy_picks
+from conftest import brute_greedy_picks, child_peak_rss_kib
 
 
 class TestDensityWeightedSelect:
@@ -173,6 +173,19 @@ class TestIncrementalAdd:
         existing = sf.random_sampling(unit2, 5, RngState(62))
         with pytest.raises(ValueError):
             sf.incremental_add(existing, 5, "lhs-basic", None, RngState(63))
+
+    def test_bc_onto_200000_points_peak_rss(self):
+        """Each BC step scores its 250 candidates against the existing set in
+        blocks of at most 2^18 squared distances (one row of 200,000 here), so
+        three BC points added to a 200,000 x 4 set peak under 160 MB in a fresh
+        interpreter; one 250 x 200,000 block alone is 400 MB."""
+        _, peak_kib = child_peak_rss_kib(
+            "from spacefill.adapt import incremental_add",
+            "from spacefill.core import Domain, RngState, SampleSet",
+            "base = SampleSet(Domain.unit(4), RngState(2).random((200_000, 4)))",
+            "incremental_add(base, 3, 'bc', None, RngState(3))",
+        )
+        assert peak_kib < 160 * 1024
 
 
 PARABOLA = lambda p: p[1] >= 3.0 * (p[0] - 0.5) ** 2

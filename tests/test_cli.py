@@ -712,6 +712,48 @@ class TestBlockParserAcceptSet:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+class TestMixedBlock:
+    """A block with a few lines np.loadtxt must not see parses its other
+    lines in one call and only those few line by line, with the values and
+    errors of the line-by-line path."""
+
+    def _file(self, tmp_path, edits):
+        lines = ["x0,x1"] + [format_row(row) for row in np.random.default_rng(7).random((4096, 2))]
+        for lineno, line in edits.items():
+            lines[lineno - 1] = line
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        return str(path)
+
+    def _counting(self, monkeypatch):
+        calls = []
+        parse = cli._parse_data_line
+        monkeypatch.setattr(cli, "_parse_data_line",
+                            lambda line, lineno, dim: calls.append(lineno) or parse(line, lineno, dim))
+        return calls
+
+    def test_one_nbsp_line_parses_alone(self, tmp_path, monkeypatch):
+        path = self._file(tmp_path, {300: "0.25,0.5\xa0"})
+        calls = self._counting(monkeypatch)
+        got = cli.read_samples(path)
+        assert calls == [300]
+        want = _reference_records(path)[0]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edits, error", [
+        ({300: "0.25,\x1c0.5"}, "line 300: non-numeric cell"),
+        ({300: "0.25,0.5,\xa0"}, "line 300: expected 2 columns, got 3"),
+        ({2: "\xa00.25"}, "line 3: expected 1 columns, got 2"),
+        ({300: "0.25,0.5\xa0", 500: "0.25,abc"}, "line 500: non-numeric cell"),
+        ({300: "0.25,abc\xa0", 500: "0.25,nan"}, "line 300: non-numeric cell"),
+        ({300: "0.25,0.5\xa0", 500: "0.25,inf"}, "line 500: non-finite cell"),
+    ])
+    def test_first_bad_line_is_reported(self, tmp_path, edits, error):
+        with pytest.raises(cli.CliError) as err:
+            cli.read_samples(self._file(tmp_path, edits))
+        assert str(err.value) == error
+
+
 class TestNonFiniteCells:
     """A nan or infinite cell fails the command with its line number, exit 2,
     as soon as its block is read."""

@@ -3,6 +3,8 @@ import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from spacefill.core import (
+    _BLOCK_DISTANCES,
+    _row_blocks,
     Domain,
     RngState,
     SampleSet,
@@ -10,6 +12,8 @@ from spacefill.core import (
     condensed_pair,
     derive_seed,
     min_pair,
+    min_squared_dists,
+    nearest_labels,
     nearest_neighbor_distances,
     scale_from_unit,
     scale_to_unit,
@@ -234,6 +238,58 @@ class TestNearestNeighbor:
 
     def test_far_pairs_that_are_no_nearest_neighbor_are_fine(self):
         assert nearest_neighbor_distances(TWO_FAR_PAIRS).tolist() == [1.0] * 4
+
+
+def _points(n, d, lattice, seed):
+    pts = RngState(seed).random((n, d))
+    return np.round(pts * 4) / 4 if lattice else pts
+
+
+class TestBlockRule:
+    """Every all-pairs kernel takes its rows in the blocks of one rule: at
+    most 256 rows and at most 2^18 squared distances, and at least one row.
+    Each row's min or argmin has the bits of one full cdist, ties to the
+    first index, on either side of a block edge."""
+
+    @pytest.mark.parametrize("m, step", [(1, 256), (500, 256), (1024, 256), (1025, 255),
+                                         (2000, 131), (_BLOCK_DISTANCES, 1),
+                                         (_BLOCK_DISTANCES + 1, 1)])
+    def test_block_shapes(self, m, step):
+        starts = list(range(0, 600, step))
+        assert list(_row_blocks(600, m)) == [(s, min(s + step, 600)) for s in starts]
+
+    # rows x m just under, at and over the budget, and one row wider than it.
+    EDGES = [(255, 1024), (256, 1024), (257, 1024), (131, 2000), (132, 2000),
+             (3, _BLOCK_DISTANCES), (3, _BLOCK_DISTANCES + 1)]
+
+    @pytest.mark.parametrize("n, m", EDGES)
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_min_squared_dists(self, n, m, lattice):
+        a, b = _points(n, 2, lattice, n), _points(m, 2, lattice, m)
+        want = cdist(a, b, "sqeuclidean").min(axis=1)
+        assert min_squared_dists(a, b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, m", EDGES)
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_nearest_labels(self, n, m, lattice):
+        a, b = _points(n, 2, lattice, n), _points(m, 2, lattice, m)
+        want = cdist(a, b, "sqeuclidean").argmin(axis=1)
+        assert np.array_equal(nearest_labels(a, b), want)
+
+    def test_nearest_labels_ties_go_to_the_first_generator(self):
+        # Every point is equally far from generators 1 and 3, which repeat
+        # each other, and from no closer one.
+        gens = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0], [0.5, 0.5]])
+        pts = np.full((600, 2), 0.5) + np.linspace(-0.1, 0.1, 600)[:, None] * [1.0, -1.0]
+        assert nearest_labels(pts, gens).tolist() == [1] * 600
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2000])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_nearest_neighbor_distances(self, n, lattice):
+        pts = _points(n, 3, lattice, n)
+        want = np.sqrt(squared_distance_matrix(pts).min(axis=1))
+        got = nearest_neighbor_distances(SampleSet(Domain.unit(3), pts))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMinPair:

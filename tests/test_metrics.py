@@ -1,7 +1,4 @@
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +10,7 @@ from scipy.special import logsumexp
 from spacefill.core import Domain, RngState, SampleSet, min_pair
 from spacefill.metrics import _logsumexp, cl2_discrepancy, nn_stats, phi_p, quality_report
 
-from conftest import brute_cl2, brute_cl2_chunked, brute_phi_p, format_row
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import brute_cl2, brute_cl2_chunked, brute_phi_p, child_peak_rss_kib, format_row
 
 
 def _set(points, dim=None):
@@ -235,19 +230,14 @@ def test_score_peak_rss_on_8000_points(tmp_path):
     """``score`` on 8,000 x 4 rows peaks under 512 MB in a fresh interpreter.
     phi_p works in its one condensed buffer of 32 million doubles (256 MB),
     and the nearest-neighbor distances are taken 256 rows at a time; one
-    more condensed buffer or one (n, n) matrix (512 MB) breaks the bound."""
+    more condensed buffer or one (n, n) matrix (512 MB) breaks the bound.
+    The bound is on the child alone: its VmHWM, not the pytest process."""
     path = tmp_path / "s.csv"
     rows = RngState(8000).random((8000, 4))
     path.write_text("x0,x1,x2,x3\n" + "".join(format_row(r) + "\n" for r in rows))
-    script = "\n".join([
-        "import resource, sys",
-        f"sys.path.insert(0, {str(SRC)!r})",
+    out, peak_kib = child_peak_rss_kib(
         "from spacefill import cli",
-        f"rc = cli.main(['score', '--in', {str(path)!r}])",
-        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
-    ])
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=300, check=True)
-    rc, peak_kib = done.stdout.split()[-2:]
-    assert rc == "0"
-    assert int(peak_kib) < 512 * 1024
+        f"print(cli.main(['score', '--in', {str(path)!r}]))",
+    )
+    assert out.splitlines()[-1] == "0"
+    assert peak_kib < 512 * 1024
