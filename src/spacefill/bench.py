@@ -58,7 +58,7 @@ class ExperimentSpec:
     dim: int
     n_samples: int
     repetitions: int
-    methods: list = field(default_factory=lambda: [list(m) for m in COMPARISON_METHODS])
+    methods: list = field(default_factory=lambda: [(m, dict(p)) for m, p in COMPARISON_METHODS])
     latinize_variants: bool = True
     seed_base: int = DEFAULT_SEED_BASE
 
@@ -201,15 +201,8 @@ def paper_suite(seed_base: int = DEFAULT_SEED_BASE, reps_override: Optional[int]
         ("10d-1000", 10, 1000, 20),
     ]
     return [
-        ExperimentSpec(
-            name=name,
-            dim=dim,
-            n_samples=n,
-            repetitions=reps_override or reps,
-            methods=[(m, dict(p)) for m, p in COMPARISON_METHODS],
-            latinize_variants=True,
-            seed_base=seed_base,
-        )
+        ExperimentSpec(name=name, dim=dim, n_samples=n,
+                       repetitions=reps_override or reps, seed_base=seed_base)
         for name, dim, n, reps in grid
     ]
 

@@ -13,10 +13,11 @@ Exit codes: 0 success, 1 runtime/algorithm failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from itertools import compress, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -67,57 +68,33 @@ def _parse_data_line(line: str, lineno: int, dim) -> np.ndarray:
 _LOADTXT_CHARS = b"\t" + bytes(range(0x20, 0x7F))
 
 
-def _loadtxt_safe(text: str) -> bool:
-    """Whether text holds only characters np.loadtxt may convert."""
-    return text.isascii() and not text.encode().translate(None, _LOADTXT_CHARS)
-
-
-def _loadtxt_rows(lines: list, dim: int):
-    """np.loadtxt of the lines as a (len(lines), dim) array of finite values;
-    None if there are no lines or np.loadtxt rejects them."""
-    if not lines:
-        return None
-    try:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if rows.shape == (len(lines), dim) and np.isfinite(rows).all():
-        return rows
-    return None
-
-
 def _parse_lines(lines: list, linenos: list, dim) -> np.ndarray:
     """Data lines as one (len(lines), d) array; d is dim or, when dim is None,
     the first line's column count.
 
-    The lines of printable ASCII and tabs go through one np.loadtxt call and
+    A block of printable ASCII and tabs goes through one np.loadtxt call and
     one finiteness check.  np.loadtxt parses a double with the correctly rounded
     conversion float() uses, so each cell it takes has float()'s bits.  It
     rejects some cells float() takes, such as 1_0, but it also strips
-    control characters float() rejects, such as \x1c; so a line that holds
-    any other character goes through _parse_data_line, which parses as
-    float() does.  When np.loadtxt rejects its lines (a ragged line, a bad
-    cell, the wrong column count, a nan or infinite cell), the whole block
-    falls back to _parse_data_line line by line, which raises the error of
-    the first bad line with its line number.
+    control characters float() rejects, such as \x1c; so a block that holds
+    any other character goes through _parse_data_line line by line, which
+    parses as float() does.  So does a block np.loadtxt rejects (a ragged
+    line, a bad cell, the wrong column count, a nan or infinite cell), and
+    _parse_data_line raises the error of the first bad line with its line
+    number.
     """
     if dim is None:
         dim = lines[0].count(",") + 1
-    safe = None
-    if not _loadtxt_safe("".join(lines)):
-        safe = np.fromiter(map(_loadtxt_safe, lines), dtype=bool, count=len(lines))
-    rows = _loadtxt_rows(lines if safe is None else list(compress(lines, safe.tolist())), dim)
-    if rows is None:
-        return np.array([_parse_data_line(line, n, dim) for line, n in zip(lines, linenos)])
-    if safe is not None:
-        # Every safe line is valid, so the first bad line, if any, is among
-        # the others, parsed here in order.
-        out = np.empty((len(lines), dim))
-        out[safe] = rows
-        for i in np.flatnonzero(~safe):
-            out[i] = _parse_data_line(lines[i], linenos[i], dim)
-        rows = out
-    return rows
+    text = "".join(lines)
+    if text.isascii() and not text.encode().translate(None, _LOADTXT_CHARS):
+        try:
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if rows.shape == (len(lines), dim) and np.isfinite(rows).all():
+                return rows
+    return np.array([_parse_data_line(line, n, dim) for line, n in zip(lines, linenos)])
 
 
 def read_samples(path, with_linenos: bool = False):
@@ -433,6 +410,9 @@ def cmd_generate(args) -> int:
     do_latinize = args.latinize or bool(cfg.get("latinize", False))
 
     domain = _build_domain(dim, lower, upper, density, viability)
+    if do_latinize and viability:
+        # Latinizing moves points without regard to the predicate.
+        raise CliError("latinize cannot keep a viability predicate")
     rng = RngState(seed)
     result = samplers.generate(algo, domain, None if n is None else int(n), rng, params)
     if do_latinize:
@@ -522,8 +502,7 @@ def cmd_bench(args) -> int:
         except (KeyError, ValueError, TypeError) as err:
             raise CliError(f"bad experiment spec: {err}") from None
         if args.reps_override:
-            specs = [bench.ExperimentSpec.from_dict({**s.to_dict(), "repetitions": args.reps_override})
-                     for s in specs]
+            specs = [dataclasses.replace(s, repetitions=args.reps_override) for s in specs]
     else:
         seed_base = args.seed if args.seed is not None else bench.DEFAULT_SEED_BASE
         specs = bench.paper_suite(seed_base=seed_base, reps_override=args.reps_override)

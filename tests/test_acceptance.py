@@ -109,7 +109,12 @@ def test_c3_10d1000_nn_avg_bands(suite):
     # the reference values; an independently written naive implementation
     # agrees with ours exactly, and the random/LHS rows match the references,
     # so those three reference numbers are not reproducible from the
-    # algorithms as stated.
+    # algorithms as stated.  A lead (specs/c3_10d1000.json, 20 reps, default
+    # seed base): the Latinized means are greedyfp 0.6052, bc 0.6115 and
+    # hybrid 0.6111, 6-7% above the references and inside the band, against
+    # plain means of 0.6796, 0.7205 and 0.7162.  No plausible pool size
+    # gives the plain references: greedyfp scale 1 / 2 gives 0.5066 / 0.5991
+    # and bc ncand 2 / 5 gives 0.5590 / 0.6082 (defaults 10 and 250).
     assert not fails, fails
 
 

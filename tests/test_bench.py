@@ -1,9 +1,11 @@
+import copy
 import csv
 import io
 import json
 
 import pytest
 
+from spacefill import bench
 from spacefill.bench import (
     DEFAULT_SEED_BASE,
     BenchReport,
@@ -93,6 +95,17 @@ class TestPaperSuite:
 
     def test_reps_override(self):
         assert all(s.repetitions == 3 for s in paper_suite(reps_override=3))
+
+    def test_default_methods_are_copies(self, monkeypatch):
+        """Editing one spec's default method parameters leaves every other
+        spec's alone."""
+        monkeypatch.setattr(bench, "COMPARISON_METHODS", copy.deepcopy(bench.COMPARISON_METHODS))
+        ExperimentSpec("a", 2, 10, 1).methods[1][1]["ntries"] = 1
+        assert bench.COMPARISON_METHODS[1][1]["ntries"] == 10
+        others = [ExperimentSpec("b", 2, 10, 1), paper_suite()[0],
+                  ExperimentSpec.from_dict({"name": "c", "dim": 2, "nSamples": 10, "repetitions": 1})]
+        for spec in others:
+            assert dict(spec.methods)["lhs-maximin"] == {"ntries": 10, "ninterchanges": 100}
 
 
 @pytest.fixture(scope="module")

@@ -181,6 +181,18 @@ class TestParamValues:
                                  "--seed", "1", "--viability", "parabola-above")
         assert (code, out, err) == (2, "", "spacefill: viability parabola-above needs --dim >= 2\n")
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_latinize_with_viability_exit_2(self, tmp_path, capsys, seed):
+        """Latinizing moves points without regard to the viable region, so
+        the pair fails before anything is drawn, whatever the seed."""
+        flags = ["generate", "--algo", "random", "--dim", "2", "--n", "20", "--seed", seed]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"viability": "parabola-above", "latinize": True}))
+        for extra in (["--viability", "parabola-above", "--latinize"], ["--config", str(path)]):
+            code, out, err = run_out(capsys, *flags, *extra)
+            assert (code, out, err) == (
+                2, "", "spacefill: latinize cannot keep a viability predicate\n")
+
     def test_bins_beyond_int64_exceed_the_cap(self, capsys):
         bins = 10 ** 30
         code, out, err = run_out(capsys, "generate", "--algo", "grid", "--dim", "2", "--seed", "1",
@@ -268,6 +280,136 @@ class TestGenerateContract:
             assert len(pts) >= 1 if rows is None else len(pts) == rows
             assert np.all((pts >= lo) & (pts <= hi))
         assert _generate(argv)[:3] == (code, out, err)
+
+
+# Config values of every JSON type, the NaN and Infinity literals among them.
+_JSON_VALUES = [None, True, 0, -1, 2.5, "x", [], [0.5], {}, math.nan, math.inf, -math.inf]
+# Config params in range that keep every run small: cvt always sets niter
+# and ppi, poisson a large radius, and grid and stratified a few bins.
+_CONFIG_PARAMS = {
+    "lhs-basic": {"placement": ["random", "center"]},
+    "lhs-maximin": {"ntries": [1, 3], "ninterchanges": [0, 20], "placement": ["center"]},
+    "cvt": {"niter": [1, 20], "ppi": [1, 200], "tol": [0, 1e-6], "alpha1": [0]},
+    "poisson": {"r": [0.5, 0.9], "ncand": [1, 10]},
+    "bc": {"ncand": [1, 30]},
+    "hybrid": {"scale": [1, 3], "refresh": [1, 7]},
+    "greedyfp": {"scale": [1, 3]},
+}
+# The parts of a config generate_configs can get wrong.
+_CONFIG_FAULTS = ["algorithm", "dim", "seed", "n", "params", "param", "bins", "lower",
+                  "upper", "domain", "latinize", "viability", "density", "schemaVersion",
+                  "unknown"]
+
+
+@st.composite
+def generate_configs(draw):
+    """(config, faults, d, rows, box): a generate --config object over every
+    algorithm id with d <= 6 and n <= 200, with up to two faults: a value of
+    a wrong JSON type or out of range, a domain list of the wrong length,
+    or an unknown key.  d, the rows an exit 0 must write (None: at least
+    one) and the box the rows must lie in are those of the config without
+    its faults."""
+    faults = draw(st.lists(st.sampled_from(_CONFIG_FAULTS), max_size=2, unique=True))
+
+    def value(key, good, bad=()):
+        if key in faults:
+            return draw(st.sampled_from(_JSON_VALUES + list(bad)))
+        return draw(st.sampled_from(good)) if isinstance(good, list) else good
+
+    algo = draw(st.sampled_from(samplers.ALGORITHMS))
+    d = draw(st.integers(1, 6))
+    cfg = {"algorithm": value("algorithm", algo, ["bogus"]), "dim": value("dim", d, [0, 7.0]),
+           "seed": value("seed", draw(st.integers(0, 2**32 - 1)), [2**64, "1"])}
+    goods = _CONFIG_PARAMS.get(algo, {})
+    params = {k: draw(st.sampled_from(v)) for k, v in goods.items() if draw(st.booleans())}
+    if algo == "cvt":
+        params |= {"niter": draw(st.sampled_from([1, 20])), "ppi": draw(st.sampled_from([1, 200]))}
+    if algo == "poisson":
+        params["r"] = draw(st.sampled_from(goods["r"]))
+    if algo in ("grid", "stratified"):
+        params["bins"] = draw(st.one_of(st.integers(1, 3),
+                                        st.lists(st.integers(1, 3), min_size=d, max_size=d)))
+    if "bins" in faults:
+        params["bins"] = draw(st.one_of(
+            st.sampled_from([[], [1.5], [True], [math.nan], [2] * (d + 1), "3", 0])))
+    if "param" in faults:
+        params[draw(st.sampled_from(["mystery", *goods, "bins"]))] = \
+            draw(st.sampled_from(_JSON_VALUES + [1.5, "center"]))
+    if params or draw(st.booleans()) or "params" in faults:
+        cfg["params"] = value("params", params)
+    if algo not in ("poisson", "grid", "stratified") or "n" in faults:
+        least = 2 if algo == "lhs-maximin" else 1  # its interchanges need two points
+        cfg["n"] = value("n", draw(st.integers(least, 200)), [0, 201.0])
+    box = draw(st.sampled_from([(0.0, 1.0), (-1.0, 2.0)]))
+    length = draw(st.sampled_from([d, 1]))
+    if box != (0.0, 1.0) or draw(st.booleans()) or {"lower", "upper", "domain"} & set(faults):
+        wrong = [[box[0]] * (d + 1), [box[1]] * length, [math.nan] * length, [2**1100] * length]
+        cfg["domain"] = value("domain", {"lower": value("lower", [[box[0]] * length], wrong),
+                                         "upper": value("upper", [[box[1]] * length], wrong)},
+                              [{"lower": [0.0] * d, "mystery": [1.0] * d}])
+    if algo in samplers.INCREMENTAL_ALGORITHMS + ("cvt", "poisson") and d > 1 or \
+            "viability" in faults:
+        cfg["viability"] = value("viability", [None, "parabola-above"], ["bogus"])
+    # Latinizing would move points out of the viable region.
+    latinize = [None, False] if cfg.get("viability") else [None, True, False]
+    for key, good, bad in (("latinize", latinize, [True]),
+                           # gauss-center is slow to draw from in a large box.
+                           ("density", [None] + ["gauss-center"] * (box == (0.0, 1.0)),
+                            ["bogus"]),
+                           ("schemaVersion", [None, 1], [2, "1"])):
+        cfg[key] = value(key, good, bad)
+        if cfg[key] is None and key not in faults:
+            del cfg[key]
+    if "unknown" in faults:
+        cfg["mystery"] = 1
+    # A null or empty params object leaves the defaults, too large for cvt,
+    # poisson, grid and stratified runs here.
+    given_params = cfg["params"] if isinstance(cfg.get("params"), dict) else {}
+    assume({"cvt": {"niter", "ppi"}, "poisson": {"r"}}.get(algo, set()) <= set(given_params))
+    if algo == "poisson":
+        rows = None
+    elif algo in ("grid", "stratified"):
+        bins = given_params.get("bins", samplers.TABLE_DEFAULTS[algo]["bins"])
+        if isinstance(bins, int) or isinstance(bins, list) and all(isinstance(b, int) for b in bins):
+            rows = int(np.prod(bins)) if isinstance(bins, list) else bins ** d
+            assume(rows <= 1000)
+        else:  # not a bin count: the run must fail
+            rows = -1
+    else:
+        rows = cfg.get("n")
+    return cfg, faults, d, rows, box
+
+
+class TestGenerateConfigContract:
+    """Any generate --config run within the size bounds exits 0, 1 or 2,
+    and 2 only for a config with a fault; it fails with exactly one
+    spacefill: line and nothing on stdout, raises no warning but cvt's
+    documented one, reruns byte for byte, and on success writes n rows of d
+    columns inside the box."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(generate_configs())
+    def test_contract(self, case):
+        cfg, faults, d, rows, (lo, hi) = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            argv = ["generate", "--config", path]
+            code, out, err, caught = _generate(argv)
+            assert _generate(argv)[:3] == (code, out, err)
+        assert code in (0, 1, 2)
+        assert [m for m in caught if not _PPI_WARNING.fullmatch(m)] == []
+        if code:
+            assert faults or code == 1, err
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("spacefill: ")
+            return
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == ",".join(f"x{j}" for j in range(d))
+        pts = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert len(pts) >= 1 if rows is None else len(pts) == rows
+        assert pts.shape[1] == d and np.all((pts >= lo) & (pts <= hi))
 
 
 # Edits of the CSV contract test, applied to a drawn row: a blank line before
@@ -616,6 +758,19 @@ class TestCsvParsing:
         assert np.array_equal(np.array(served), want)
         assert stream.records == len(want)
 
+    def test_plain_blocks_parse_in_one_call(self, tmp_path, monkeypatch):
+        """Blocks of printable ASCII never reach the line-by-line parser."""
+        path = self._write(tmp_path / "r.csv", 9000, crlf=True)
+        calls = []
+        parse = cli._parse_data_line
+        monkeypatch.setattr(cli, "_parse_data_line",
+                            lambda line, lineno, dim: calls.append(lineno) or parse(line, lineno, dim))
+        got = cli.read_samples(path)
+        served = np.array(list(cli.CsvRecordStream(path)))
+        assert calls == []
+        want = _reference_records(path)[0]
+        assert got.tobytes() == want.tobytes() and served.tobytes() == want.tobytes()
+
     def test_cells_python_float_accepts(self, tmp_path):
         f = tmp_path / "cells.csv"
         f.write_text("x0,x1,x2\n 0.5,0.25 ,+1\n.5,5.,1E-2\n1_0,-0.0,\t3\n")
@@ -713,9 +868,8 @@ class TestBlockParserAcceptSet:
 
 
 class TestMixedBlock:
-    """A block with a few lines np.loadtxt must not see parses its other
-    lines in one call and only those few line by line, with the values and
-    errors of the line-by-line path."""
+    """A block with a few lines np.loadtxt must not see parses line by line,
+    with the values and errors of the line-by-line reference."""
 
     def _file(self, tmp_path, edits):
         lines = ["x0,x1"] + [format_row(row) for row in np.random.default_rng(7).random((4096, 2))]
@@ -725,18 +879,9 @@ class TestMixedBlock:
         path.write_bytes(("\n".join(lines) + "\n").encode())
         return str(path)
 
-    def _counting(self, monkeypatch):
-        calls = []
-        parse = cli._parse_data_line
-        monkeypatch.setattr(cli, "_parse_data_line",
-                            lambda line, lineno, dim: calls.append(lineno) or parse(line, lineno, dim))
-        return calls
-
-    def test_one_nbsp_line_parses_alone(self, tmp_path, monkeypatch):
+    def test_one_nbsp_line_matches_line_by_line(self, tmp_path):
         path = self._file(tmp_path, {300: "0.25,0.5\xa0"})
-        calls = self._counting(monkeypatch)
         got = cli.read_samples(path)
-        assert calls == [300]
         want = _reference_records(path)[0]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -997,6 +1142,22 @@ class TestBench:
         doc = json.loads((out_dir / "mini.json").read_text())
         assert doc["schemaVersion"] == 1
         assert "Random" in out  # table echoed to stdout
+
+    @pytest.mark.parametrize("reps, code, message", [
+        (1, 0, ""), (-1, 2, "spacefill: repetitions must be >= 1\n")])
+    def test_reps_override_on_spec(self, tmp_path, capsys, reps, code, message):
+        spec = {"name": "mini", "dim": 2, "nSamples": 10, "repetitions": 3,
+                "methods": [["bc", {"ncand": 5}]], "latinizeVariants": False, "seedBase": 5}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "reports"
+        got = run_out(capsys, "bench", "--spec", str(path), "--out", str(out_dir),
+                      "--reps-override", str(reps))
+        assert (got[0], got[2]) == (code, message)
+        if code == 0:
+            doc = json.loads((out_dir / "mini.json").read_text())
+            assert doc["experiment"] == {**spec, "repetitions": 1}
+            assert [r["rep"] for r in doc["rows"]] == [0]
 
     def test_json_rows_revalidate_via_score(self, tmp_path, capsys):
         # cross-check: regenerate one cell from its recorded seed, score it
