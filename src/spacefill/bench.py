@@ -17,7 +17,7 @@ from typing import Optional
 
 from .core import Domain, RngState, derive_seed
 from .metrics import quality_report
-from .samplers import _checked, generate, latinize
+from .samplers import _checked, _is_number, generate, latinize
 
 __all__ = [
     "ExperimentSpec",
@@ -92,13 +92,18 @@ class ExperimentSpec:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown experiment keys: {sorted(unknown)}")
+        for key in ("dim", "nSamples", "repetitions", "seedBase"):
+            if key in d and not _is_number(d[key], True):
+                raise ValueError(f"{key} must be an integer, got {d[key]!r}")
+        if not isinstance(d.get("latinizeVariants", True), bool):
+            raise ValueError(f"latinizeVariants must be a boolean, got {d['latinizeVariants']!r}")
         return cls(
             name=d["name"],
             dim=int(d["dim"]),
             n_samples=int(d["nSamples"]),
             repetitions=int(d["repetitions"]),
             methods=[(m, dict(p)) for m, p in d.get("methods", COMPARISON_METHODS)],
-            latinize_variants=bool(d.get("latinizeVariants", True)),
+            latinize_variants=d.get("latinizeVariants", True),
             seed_base=int(d.get("seedBase", DEFAULT_SEED_BASE)),
         )
 

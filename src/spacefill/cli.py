@@ -102,7 +102,7 @@ def read_samples(path, with_linenos: bool = False):
     (n, d) array."""
     blocks = []
     linenos = []
-    with _CsvReader(path) as reader:
+    with CsvRecordStream(path) as reader:
         while (block := reader.read_block()) is not None:
             blocks.append(block[0])
             linenos.extend(block[1])
@@ -123,26 +123,40 @@ def _is_numeric_row(line: str) -> bool:
 _BLOCK_LINES = 4096
 
 
-class _CsvReader:
-    """Sample CSV input ("-" is stdin), parsed _BLOCK_LINES lines at a time.
+class CsvRecordStream:
+    """Sample CSV input ("-" is stdin), parsed _BLOCK_LINES lines at a time,
+    and read exactly once: whole blocks through ``read_block``, or as (k, d)
+    array slices of the parsed blocks through ``read_rows(k)``.
 
     The first line is a header when one of its cells is not a number.
     Blank lines are skipped, and line numbers count every line.  Use it in
     a ``with`` block, or call ``close``, to close an input read only in part.
+
+    It keeps a running estimate of the total record count from the file
+    size and the bytes consumed so far.  A row's bytes count toward the
+    estimate only when read_rows serves the row, so ``records``,
+    ``data_bytes`` and estimate_total() equal those of line-by-line reading
+    after every served row.  Stdin has size 0, since its length is unknown.
     """
 
     def __init__(self, path: str):
         if path == "-":
-            self._fh, self._owned = sys.stdin, False
+            self.size, self._fh, self._owned = 0, sys.stdin, False
         else:
             try:
+                self.size = os.path.getsize(path)
                 self._fh = open(path, "r", newline="")
             except OSError as err:
                 raise CliError(str(err)) from None
             self._owned = True
         self.header_bytes = 0
+        self.records = 0
+        self.data_bytes = 0
         self._dim = None
         self._lineno = 0
+        self._rows = np.empty((0, 0))
+        self._sizes = []
+        self._at = 0
         try:
             first = self._fh.readline()
         except BaseException:  # e.g. UnicodeDecodeError on a non-UTF-8 file
@@ -185,44 +199,6 @@ class _CsvReader:
             raise
         return None
 
-    def close(self) -> None:
-        if self._owned and self._fh is not None:
-            self._fh.close()
-        self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class CsvRecordStream(_CsvReader):
-    """Streaming CSV reader for the subset command ("-" reads stdin).
-
-    Serves the data rows in order, reading the input exactly once: as
-    (k, d) array slices of the parsed blocks through ``read_rows(k)``, or one
-    record at a time by iteration.  It keeps a running estimate of the total
-    record count from the file size and the bytes consumed so far.  A row's
-    bytes count toward the estimate only when the row is served, so
-    ``records``, ``data_bytes`` and estimate_total() equal those of
-    line-by-line reading after every served row.  Stdin has size 0, since
-    its length is unknown.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        try:
-            self.size = 0 if path == "-" else os.path.getsize(path)
-        except OSError as err:
-            raise CliError(str(err)) from None
-        super().__init__(path)
-        self.records = 0
-        self.data_bytes = 0
-        self._rows = np.empty((0, 0))
-        self._sizes = []
-        self._at = 0
-
     def read_rows(self, k: int) -> np.ndarray:
         """The next min(k, rows left) rows as one (m, d) array, cut from the
         current parsed block and the blocks after it; for k >= 1, m is 0 only
@@ -245,20 +221,22 @@ class CsvRecordStream(_CsvReader):
             return parts[0]
         return np.concatenate(parts) if parts else np.empty((0, self._dim or 0))
 
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> np.ndarray:
-        row = self.read_rows(1)
-        if not len(row):
-            raise StopIteration
-        return row[0]
-
     def estimate_total(self) -> int:
         if self.records == 0 or self.data_bytes == 0:
             return 1
         data_total = max(self.size - self.header_bytes, self.data_bytes)
         return max(self.records, round(self.records * data_total / self.data_bytes))
+
+    def close(self) -> None:
+        if self._owned and self._fh is not None:
+            self._fh.close()
+        self._fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +255,22 @@ def _resolve_seed(args) -> int:
     raise CliError("no seed: pass --seed or set SPACEFILL_SEED (no wall-clock seeding)")
 
 
-def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise CliError(f"{name} must be a comma-separated list of numbers") from None
-    if len(vals) == 1 and dim > 1:
-        vals = vals * dim
-    if len(vals) != dim:
+def _parse_vector(value, dim: int, key: str) -> np.ndarray:
+    """A bound of dim entries from the --key flag's comma-separated text or
+    the list of numbers a config's domain gives for key; a single entry
+    stands for every dimension."""
+    name = f"config domain {key}"
+    if isinstance(value, str):
+        name = f"--{key}"
+        try:
+            value = [float(v) for v in value.split(",")]
+        except ValueError:
+            raise CliError(f"{name} must be a comma-separated list of numbers") from None
+    if len(value) == 1 and dim > 1:
+        value = value * dim
+    if len(value) != dim:
         raise CliError(f"{name} must have {dim} entries")
-    return np.array(vals)
+    return np.array(value, dtype=float)
 
 
 def _parse_params(pairs) -> dict:
@@ -314,8 +298,8 @@ def _coerce(text: str):
 
 
 def _build_domain(dim: int, lower, upper, density_name, viability_name) -> Domain:
-    lo = _parse_vector(lower, dim, "--lower") if lower else np.zeros(dim)
-    hi = _parse_vector(upper, dim, "--upper") if upper else np.ones(dim)
+    lo = _parse_vector(lower, dim, "lower") if lower else np.zeros(dim)
+    hi = _parse_vector(upper, dim, "upper") if upper else np.ones(dim)
     density = density_max = None
     if density_name:
         density, density_max = presets.density_by_name(density_name)
@@ -334,19 +318,26 @@ _CONFIG_TYPES = {"algorithm": (str, "a string"), "density": (str, "a string"),
 _CONFIG_KEYS = {"schemaVersion", *_CONFIG_TYPES}
 
 
-def _load_run_config(path: str) -> dict:
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object of a --config or --spec file (``what`` names the
+    kind in errors), whose schemaVersion is 1 or absent."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise CliError(f"cannot read config {path}: {err}") from None
-    if not isinstance(cfg, dict):
-        raise CliError("config must be a JSON object")
+        raise CliError(f"cannot read {what} {path}: {err}") from None
+    if not isinstance(doc, dict):
+        raise CliError(f"{what} must be a JSON object")
+    if doc.get("schemaVersion", 1) != 1:
+        raise CliError(f"unsupported {what} schemaVersion (expected 1)")
+    return doc
+
+
+def _load_run_config(path: str) -> dict:
+    cfg = _load_json(path, "config")
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
-    if cfg.get("schemaVersion", 1) != 1:
-        raise CliError("unsupported config schemaVersion (expected 1)")
     for key, (kind, name) in _CONFIG_TYPES.items():
         value = cfg.get(key)
         if value is not None and (not isinstance(value, kind) or kind is int and isinstance(value, bool)):
@@ -365,7 +356,8 @@ def _load_run_config(path: str) -> dict:
 
 
 def _is_numbers(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
+    """Whether value is a list of finite numbers; a bool is not one."""
+    return isinstance(value, list) and all(samplers._is_number(v, False) for v in value)
 
 
 def _out_stream(args):
@@ -403,8 +395,8 @@ def cmd_generate(args) -> int:
     params = dict(cfg.get("params") or {})
     params.update(_parse_params(args.params))
     dom_cfg = cfg.get("domain") or {}
-    lower = args.lower or (",".join(map(str, dom_cfg["lower"])) if "lower" in dom_cfg else None)
-    upper = args.upper or (",".join(map(str, dom_cfg["upper"])) if "upper" in dom_cfg else None)
+    lower = args.lower or dom_cfg.get("lower")
+    upper = args.upper or dom_cfg.get("upper")
     density = args.density or cfg.get("density")
     viability = args.viability or cfg.get("viability")
     do_latinize = args.latinize or bool(cfg.get("latinize", False))
@@ -487,20 +479,21 @@ def cmd_append_region(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.spec:
-        try:
-            with open(args.spec) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise CliError(f"cannot read spec {args.spec}: {err}") from None
-        if not isinstance(doc, dict):
-            raise CliError("spec must be a JSON object")
-        if doc.get("schemaVersion", 1) != 1:
-            raise CliError("unsupported spec schemaVersion (expected 1)")
+        doc = _load_json(args.spec, "spec")
         raw = doc["experiments"] if "experiments" in doc else [doc]
+        if not isinstance(raw, list) or not raw:
+            raise CliError("spec experiments must be a nonempty list")
         try:
             specs = [bench.ExperimentSpec.from_dict(d) for d in raw]
         except (KeyError, ValueError, TypeError) as err:
             raise CliError(f"bad experiment spec: {err}") from None
+        names = [s.name for s in specs]
+        for name in names:
+            # Each experiment's report is the file <--out>/<name>.<format>.
+            if not isinstance(name, str) or name in ("", ".", "..") or {"/", os.sep, "\0"} & set(name):
+                raise CliError(f"bad experiment spec: name must be a file name, got {name!r}")
+            if names.count(name) > 1:
+                raise CliError(f"bad experiment spec: name {name!r} is not unique")
         if args.reps_override:
             specs = [dataclasses.replace(s, repetitions=args.reps_override) for s in specs]
     else:

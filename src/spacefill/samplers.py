@@ -884,8 +884,9 @@ def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
     p = _checked(algorithm, params, n, domain, existing)
     if algorithm == "poisson":
         return poisson_disk(domain, PoissonConfig(radius=float(p["r"]), n_cand=int(p["ncand"])), rng)
-    if algorithm == "random":
-        return _assemble(domain, existing, _draw_unit_batch(rng, domain, n))
+    if algorithm in INCREMENTAL_ALGORITHMS:
+        new_unit = _new_points(algorithm, rng, domain, n, p, _existing_unit(domain, existing))
+        return _assemble(domain, existing, new_unit)
     if algorithm in ("grid", "stratified"):
         mode = GridMode.CORNERS if algorithm == "grid" else GridMode.STRATIFIED_RANDOM
         return grid_sampling(domain, p["bins"], mode, rng)
@@ -895,24 +896,17 @@ def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
         cfg = LhsConfig(n_tries=int(p["ntries"]), n_interchanges=int(p["ninterchanges"]),
                         bin_placement=_placement(p["placement"]))
         return lhs_maximin(domain, n, rng, cfg)
-    if algorithm == "cvt":
-        cfg = CvtConfig(n_iter=int(p["niter"]), ppi=int(p["ppi"]),
-                        alpha1=float(p["alpha1"]), alpha2=float(p["alpha2"]),
-                        beta1=float(p["beta1"]), beta2=float(p["beta2"]),
-                        convergence_tol=float(p["tol"]))
-        return cvt_sampling(domain, n, rng, cfg)
-    if algorithm == "greedyfp":
-        return greedy_fp(domain, n, rng, _fp_config(algorithm, p), existing)
-    if algorithm == "bc":
-        return best_candidate(domain, n, rng, _fp_config(algorithm, p), existing)
-    return hybrid_bc_fp(domain, n, rng, _fp_config(algorithm, p), existing)
+    cfg = CvtConfig(n_iter=int(p["niter"]), ppi=int(p["ppi"]),
+                    alpha1=float(p["alpha1"]), alpha2=float(p["alpha2"]),
+                    beta1=float(p["beta1"]), beta2=float(p["beta2"]),
+                    convergence_tol=float(p["tol"]))
+    return cvt_sampling(domain, n, rng, cfg)
 
 
-def _new_points(algorithm: str, rng: RngState, domain: Domain, n: int,
-                params: Optional[dict], exist_u: np.ndarray) -> np.ndarray:
-    """New unit points by incremental-capable algorithm id (used by the
-    adaptation toolkit)."""
-    p = _checked(algorithm, params, n, domain, exist_u)
+def _new_points(algorithm: str, rng: RngState, domain: Domain, n: int, p: dict,
+                exist_u: np.ndarray) -> np.ndarray:
+    """n new unit points of an incremental algorithm id, scored against the
+    existing unit points; p is the merged parameters ``_checked`` returns."""
     if algorithm == "random":
         return _draw_unit_batch(rng, domain, n)
     core = _bc_new if algorithm == "bc" else _greedy_new

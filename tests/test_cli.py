@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spacefill import adapt, cli, samplers
+from spacefill import adapt, bench, cli, samplers
 from spacefill.core import RngState
 
 from conftest import assert_latin, format_row
@@ -148,6 +148,48 @@ class TestGenerate:
         path.write_text(json.dumps({"algorithm": "random", "dim": 2, "n": 3, "seed": 1, **entry}))
         code, _, err = run_out(capsys, "generate", "--config", str(path))
         assert (code, err) == (2, f"spacefill: {message}\n")
+
+    @pytest.mark.parametrize("domain, message", [
+        ({"lower": [True, 0, 0]}, "config domain lower must be a list of numbers"),
+        ({"upper": [1, 1, False]}, "config domain upper must be a list of numbers"),
+        ({"lower": [0, 0]}, "config domain lower must have 3 entries"),
+        ({"upper": [1, 1]}, "config domain upper must have 3 entries"),
+    ], ids=["lower-bool", "upper-bool", "lower-length", "upper-length"])
+    def test_config_domain_bound_exit_2(self, tmp_path, capsys, domain, message):
+        """A config's bounds are named as config entries, and a bool is not
+        a number."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"algorithm": "random", "dim": 3, "n": 3, "seed": 1,
+                                    "domain": domain}))
+        code, out, err = run_out(capsys, "generate", "--config", str(path))
+        assert (code, out, err) == (2, "", f"spacefill: {message}\n")
+
+
+class TestJsonFiles:
+    """--config and --spec files load through one reader: an unreadable
+    path, invalid JSON, a value other than an object and an unsupported
+    schemaVersion each exit 2 with one line naming the kind of file."""
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read {kind} {path}: [Errno 2] No such file or directory: '{path}'"),
+        ("{", "cannot read {kind} {path}: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)"),
+        ("[1, 2]", "{kind} must be a JSON object"),
+        ('{"schemaVersion": 2}', "unsupported {kind} schemaVersion (expected 1)"),
+    ], ids=["unreadable", "invalid", "not-object", "schema-2"])
+    @pytest.mark.parametrize("kind, argv", [
+        ("config", ["generate", "--config"]),
+        ("spec", ["bench", "--spec"]),
+    ])
+    def test_load_error_exit_2(self, tmp_path, capsys, content, message, kind, argv):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_text(content)
+        out_dir = tmp_path / "reports"
+        code, out, err = run_out(capsys, *argv, str(path), "--out", str(out_dir))
+        want = message.format(kind=kind, path=path)
+        assert (code, out, err) == (2, "", f"spacefill: {want}\n")
+        assert not out_dir.exists()
 
 
 class TestParamValues:
@@ -410,6 +452,114 @@ class TestGenerateConfigContract:
         pts = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         assert len(pts) >= 1 if rows is None else len(pts) == rows
         assert pts.shape[1] == d and np.all((pts >= lo) & (pts <= hi))
+
+
+# Methods of the spec contract test, with parameters that keep every cell small.
+_SPEC_METHODS = [["random", {}], ["lhs-maximin", {"ntries": 1, "ninterchanges": 3}],
+                 ["greedyfp", {"scale": 2}], ["bc", {"ncand": 3}],
+                 ["hybrid", {"scale": 2, "refresh": 3}]]
+# The parts of a spec bench_specs can get wrong, and the wrong values of each.
+_SPEC_FAULTS = {
+    "dim": [True, 2.5, math.inf, "2", None, [2], 0],
+    "nSamples": [False, 2.7, -math.inf, "5", None, 1],
+    "repetitions": [True, 1.5, "1", None, 0],
+    "seedBase": [True, 0.5, math.nan, "5"],
+    "latinizeVariants": ["no", 1, 0, None],
+    "name": ["", ".", "..", "a/b", "../escaped", 5, None],
+    "methods": [[], "bc", [["bc"]], [["bogus", {}]], [["poisson", {}]], [["bc", {"scale": 3}]],
+                [["bc", {"ncand": 2.5}]]],
+    "schemaVersion": [2, "1"],
+    "experiments": [[], {}, "e0"],
+    "unknown": [1],
+    "duplicate": [None],
+}
+
+
+@st.composite
+def bench_specs(draw):
+    """(spec, faults): a bench --spec object of one to three experiments with
+    d <= 3 and n <= 12, each count an int or an integral float, with up to
+    two faults: a value of a wrong JSON type or out of range, an unsafe or
+    repeated name, a bad method list, an unknown key or no experiments."""
+    faults = draw(st.lists(st.sampled_from(sorted(_SPEC_FAULTS)), max_size=2, unique=True))
+
+    def count(lo, hi):
+        v = draw(st.integers(lo, hi))
+        return float(v) if draw(st.booleans()) else v
+
+    experiments = []
+    for k in range(draw(st.integers(1, 3))):
+        exp = {"name": f"e{k}", "dim": count(1, 3), "nSamples": count(2, 12),
+               "repetitions": count(1, 3),
+               "methods": draw(st.lists(st.sampled_from(_SPEC_METHODS), min_size=1, max_size=3))}
+        if draw(st.booleans()):
+            exp["latinizeVariants"] = draw(st.booleans())
+        if draw(st.booleans()):
+            exp["seedBase"] = count(0, 2**32 - 1)
+        experiments.append(exp)
+    target = draw(st.sampled_from(experiments))
+    for fault in faults:
+        value = draw(st.sampled_from(_SPEC_FAULTS[fault]))
+        if fault == "unknown":
+            target["mystery"] = value
+        elif fault == "duplicate":
+            experiments.append(dict(experiments[0]))
+        elif fault not in ("schemaVersion", "experiments"):
+            target[fault] = value
+    if len(experiments) == 1 and draw(st.booleans()):
+        spec = dict(experiments[0])
+    else:
+        spec = {"experiments": experiments}
+    if "experiments" in faults:
+        spec = {"experiments": draw(st.sampled_from(_SPEC_FAULTS["experiments"]))}
+    if "schemaVersion" in faults:
+        spec["schemaVersion"] = draw(st.sampled_from(_SPEC_FAULTS["schemaVersion"]))
+    elif draw(st.booleans()):
+        spec["schemaVersion"] = 1
+    return spec, faults
+
+
+class TestBenchSpecContract:
+    """A bench --spec run with --reps-override 1 exits 2 exactly when its
+    spec has a fault: with one spacefill: line, nothing on stdout and no
+    file written, since no cell runs.  Otherwise it exits 0 and writes one
+    report per experiment, named after it, inside --out and nowhere else."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(bench_specs())
+    def test_contract(self, case):
+        spec, faults = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w") as fh:
+                json.dump(spec, fh)
+            out_dir = os.path.join(tmp, "out", "reports")
+            code, out, err, caught = _generate(["bench", "--spec", path, "--out", out_dir,
+                                                "--reps-override", "1"])
+            written = sorted(os.path.relpath(os.path.join(root, name), tmp)
+                             for root, _, names in os.walk(tmp) for name in names)
+            reports = []
+            for name in set(written) - {"spec.json"}:
+                with open(os.path.join(tmp, name)) as fh:
+                    reports.append(json.load(fh))
+        assert caught == []
+        if faults:
+            assert code == 2, (spec, faults)
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("spacefill: ")
+            assert written == ["spec.json"]
+            return
+        assert (code, err) == (0, "")
+        experiments = spec.get("experiments", [spec])
+        names = [e["name"] for e in experiments]
+        assert written == sorted(["spec.json"] + [os.path.join("out", "reports", f"{n}.json")
+                                                  for n in names])
+        for doc in reports:
+            exp = next(e for e in experiments if e["name"] == doc["experiment"]["name"])
+            assert doc["experiment"]["repetitions"] == 1 and doc["failures"] == []
+            assert (doc["experiment"]["dim"], doc["experiment"]["nSamples"]) == \
+                (int(exp["dim"]), int(exp["nSamples"]))
+            variants = 2 if exp.get("latinizeVariants", True) else 1
+            assert len(doc["rows"]) == len(exp["methods"]) * variants
 
 
 # Edits of the CSV contract test, applied to a drawn row: a blank line before
@@ -715,6 +865,12 @@ def _reference_records(path):
     return np.array(rows), linenos, counts
 
 
+def _rows_of(stream):
+    """The stream's rows one at a time, through read_rows(1)."""
+    while len(row := stream.read_rows(1)):
+        yield row[0]
+
+
 def _reference_estimate(size, header_bytes, records, data_bytes):
     data_total = max(size - header_bytes, data_bytes)
     return max(records, round(records * data_total / data_bytes))
@@ -749,12 +905,12 @@ class TestCsvParsing:
         assert stream.header_bytes == header_bytes
         assert stream.estimate_total() == 1
         served = []
-        for (records, data_bytes), row in zip(counts, stream):
+        for (records, data_bytes), row in zip(counts, _rows_of(stream)):
             served.append(row)
             assert (stream.records, stream.data_bytes) == (records, data_bytes)
             assert stream.estimate_total() == _reference_estimate(
                 stream.size, header_bytes, records, data_bytes)
-        assert next(stream, None) is None and next(stream, None) is None
+        assert len(stream.read_rows(1)) == 0 and len(stream.read_rows(1)) == 0
         assert np.array_equal(np.array(served), want)
         assert stream.records == len(want)
 
@@ -766,7 +922,7 @@ class TestCsvParsing:
         monkeypatch.setattr(cli, "_parse_data_line",
                             lambda line, lineno, dim: calls.append(lineno) or parse(line, lineno, dim))
         got = cli.read_samples(path)
-        served = np.array(list(cli.CsvRecordStream(path)))
+        served = np.array(list(_rows_of(cli.CsvRecordStream(path))))
         assert calls == []
         want = _reference_records(path)[0]
         assert got.tobytes() == want.tobytes() and served.tobytes() == want.tobytes()
@@ -777,7 +933,7 @@ class TestCsvParsing:
         want = np.array([[0.5, 0.25, 1.0], [0.5, 5.0, 0.01], [10.0, -0.0, 3.0]])
         got = cli.read_samples(str(f))
         assert np.array_equal(got, want) and np.signbit(got[2, 1])
-        assert np.array_equal(np.array(list(cli.CsvRecordStream(str(f)))), want)
+        assert np.array_equal(np.array(list(_rows_of(cli.CsvRecordStream(str(f))))), want)
 
     def test_non_ascii_cells_count_bytes(self, tmp_path):
         """float() reads non-ASCII digits; their rows count encoded bytes."""
@@ -787,7 +943,7 @@ class TestCsvParsing:
         path.write_bytes(("\n".join(lines) + "\n").encode())
         want, _, counts = _reference_records(str(path))
         with cli.CsvRecordStream(str(path)) as stream:
-            for (records, data_bytes), row in zip(counts, stream):
+            for (records, data_bytes), row in zip(counts, _rows_of(stream)):
                 assert (stream.records, stream.data_bytes) == (records, data_bytes)
         assert stream.data_bytes == path.stat().st_size - len("x0,x1\n")
         assert np.array_equal(cli.read_samples(str(path)), want)
@@ -808,7 +964,7 @@ class TestCsvParsing:
             cli.read_samples(str(f))
         assert str(err.value) == want
         with pytest.raises(cli.CliError) as err:
-            list(cli.CsvRecordStream(str(f)))
+            list(_rows_of(cli.CsvRecordStream(str(f))))
         assert str(err.value) == want
 
     @pytest.mark.parametrize("first, second, message", [
@@ -856,7 +1012,7 @@ class TestBlockParserAcceptSet:
             want = _reference_records(str(path))[0] if math.isfinite(value) else \
                 f"line {lineno}: non-finite cell"
         src = str(path) if source == "file" else "-"
-        for read in (cli.read_samples, lambda p: np.array(list(cli.CsvRecordStream(p)))):
+        for read in (cli.read_samples, lambda p: np.array(list(_rows_of(cli.CsvRecordStream(p))))):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             if isinstance(want, str):
                 with pytest.raises(cli.CliError) as err:
@@ -969,7 +1125,7 @@ class TestBlockSource:
         got = []
         for block_source in (True, False):
             with _CountingStream(str(path)) as stream:
-                source = stream if block_source else (row for row in stream)
+                source = stream if block_source else _rows_of(stream)
                 result = adapt.stream_subset(source, config, RngState(seed),
                                              total_records=lambda: stream.total(total))
                 got.append((result.points.tobytes(), result.domain.lower.tobytes(),
@@ -1123,6 +1279,60 @@ class TestBench:
         path.write_text(json.dumps(spec))
         code, out, err = run_out(capsys, "bench", "--spec", str(path), "--out", str(tmp_path))
         assert (code, out, err) == (2, "", f"spacefill: bad experiment spec: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"name": "mini", "dim": 1e400}', "bad experiment spec: dim must be an integer, got inf"),
+        ('{"name": "mini", "dim": true}', "bad experiment spec: dim must be an integer, got True"),
+        ('{"name": "mini", "nSamples": 2.7}',
+         "bad experiment spec: nSamples must be an integer, got 2.7"),
+        ('{"name": "mini", "latinizeVariants": "no"}',
+         "bad experiment spec: latinizeVariants must be a boolean, got 'no'"),
+        ('{"name": "a/b"}', "bad experiment spec: name must be a file name, got 'a/b'"),
+        ('{"name": "../escaped"}',
+         "bad experiment spec: name must be a file name, got '../escaped'"),
+        ('{"name": ""}', "bad experiment spec: name must be a file name, got ''"),
+        ('{"name": ".."}', "bad experiment spec: name must be a file name, got '..'"),
+        ('{"name": "mini"}, {"name": "mini"}', "bad experiment spec: name 'mini' is not unique"),
+        ("", "spec experiments must be a nonempty list"),
+    ], ids=["dim-overflow", "dim-bool", "n-fraction", "latinize-text", "name-separator",
+            "name-parent", "name-empty", "name-dots", "name-twice", "no-experiments"])
+    def test_spec_value_exit_2(self, tmp_path, capsys, text, message):
+        """Each experiment of a spec is checked before any cell runs: no
+        table on stdout, and no report anywhere."""
+        # A key of text overrides the same key of base.
+        base = '"nSamples": 10, "dim": 2, "repetitions": 1, "methods": [["random", {}]], '
+        experiments = text.replace("{", "{" + base)
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"experiments": [{experiments}]}}')
+        out_dir = tmp_path / "out" / "reports"
+        code, out, err = run_out(capsys, "bench", "--spec", str(path), "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"spacefill: {message}\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+    def test_integral_float_counts_are_integers(self, tmp_path, capsys):
+        spec = {"name": "mini", "dim": 2.0, "nSamples": 10.0, "repetitions": 1.0,
+                "methods": [["random", {}]], "latinizeVariants": False, "seedBase": 5.0}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run_out(capsys, "bench", "--spec", str(path), "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        doc = json.loads((tmp_path / "mini.json").read_text())
+        assert doc["experiment"] == {"name": "mini", "dim": 2, "nSamples": 10, "repetitions": 1,
+                                     "methods": [["random", {}]], "latinizeVariants": False,
+                                     "seedBase": 5}
+
+    def test_shipped_spec_loads(self, tmp_path, capsys, monkeypatch):
+        """specs/c3_10d1000.json passes every spec rule (its cells are not run)."""
+        ran = []
+        monkeypatch.setattr(bench, "run_experiment",
+                            lambda spec: ran.append(spec) or bench.BenchReport(spec=spec))
+        path = os.path.join(os.path.dirname(__file__), "..", "specs", "c3_10d1000.json")
+        code, _, err = run_out(capsys, "bench", "--spec", path, "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert [s.name for s in ran] == ["c3-10d-1000-fp", "c3-10d-1000-greedyfp-scale1",
+                                         "c3-10d-1000-greedyfp-scale2", "c3-10d-1000-bc-ncand2",
+                                         "c3-10d-1000-bc-ncand5"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{s.name}.json" for s in ran)
 
     def test_custom_spec_writes_reports(self, tmp_path, capsys):
         spec = {

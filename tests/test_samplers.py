@@ -948,3 +948,31 @@ class TestGenerateDispatch:
             a = generate(algo, unit2, n, RngState(40), params)
             b = generate(algo, unit2, n, RngState(40), params)
             assert np.array_equal(a.points, b.points), algo
+
+    @pytest.mark.parametrize("algo, params, public, config", [
+        ("greedyfp", {"scale": 4}, sf.greedy_fp, FpConfig(scale=4)),
+        ("bc", {"ncand": 30}, sf.best_candidate, FpConfig(n_cand_fixed=30)),
+        ("hybrid", {"scale": 4, "refresh": 7}, sf.hybrid_bc_fp,
+         FpConfig(scale=4, refresh_count=7)),
+    ])
+    @pytest.mark.parametrize("prior", [0, 5])
+    def test_incremental_ids_match_public_functions(self, unit2, algo, params, public, config,
+                                                    prior):
+        existing = sf.random_sampling(unit2, prior, RngState(42)) if prior else None
+        a = generate(algo, unit2, 20, RngState(43), params, existing)
+        b = public(unit2, 20, RngState(43), config, existing)
+        assert a.points.tobytes() == b.points.tobytes() and a.frozen_count == b.frozen_count
+
+    @pytest.mark.parametrize("algo", samplers.INCREMENTAL_ALGORITHMS)
+    @pytest.mark.parametrize("dim, value, message", [
+        (3, 0.5, "existing set dimension does not match the domain"),
+        (2, 1.5, "existing points lie outside the sampling box"),
+    ], ids=["dimension", "box"])
+    def test_existing_set_checked_before_drawing(self, unit2, algo, dim, value, message):
+        """Every incremental id, random included, checks an existing set
+        against the domain before its first draw."""
+        existing = SampleSet(Domain(np.zeros(dim), np.full(dim, 2.0)), np.full((2, dim), value))
+        rng = RngState(44)
+        with pytest.raises(ValueError, match=message):
+            generate(algo, unit2, 3, rng, RULE_PARAMS[algo], existing)
+        assert rng.random() == RngState(44).random()
