@@ -297,9 +297,12 @@ def _coerce(text: str):
         return text
 
 
-def _build_domain(dim: int, lower, upper, density_name, viability_name) -> Domain:
-    lo = _parse_vector(lower, dim, "lower") if lower else np.zeros(dim)
-    hi = _parse_vector(upper, dim, "upper") if upper else np.ones(dim)
+def _build_domain(dim: int, lower, upper, density_name, viability_name,
+                  keys=("lower", "upper")) -> Domain:
+    """The domain of the given bounds, each None for the unit default;
+    ``keys`` name the bounds' flags (or config entries) in errors."""
+    lo = _parse_vector(lower, dim, keys[0]) if lower is not None else np.zeros(dim)
+    hi = _parse_vector(upper, dim, keys[1]) if upper is not None else np.ones(dim)
     density = density_max = None
     if density_name:
         density, density_max = presets.density_by_name(density_name)
@@ -395,8 +398,8 @@ def cmd_generate(args) -> int:
     params = dict(cfg.get("params") or {})
     params.update(_parse_params(args.params))
     dom_cfg = cfg.get("domain") or {}
-    lower = args.lower or dom_cfg.get("lower")
-    upper = args.upper or dom_cfg.get("upper")
+    lower = args.lower if args.lower is not None else dom_cfg.get("lower")
+    upper = args.upper if args.upper is not None else dom_cfg.get("upper")
     density = args.density or cfg.get("density")
     viability = args.viability or cfg.get("viability")
     do_latinize = args.latinize or bool(cfg.get("latinize", False))
@@ -449,7 +452,7 @@ def cmd_expand(args) -> int:
     pts = read_samples(args.infile)
     dim = pts.shape[1]
     old = _build_domain(dim, args.lower, args.upper, None, None)
-    new = _build_domain(dim, args.new_lower, args.new_upper, None, None)
+    new = _build_domain(dim, args.new_lower, args.new_upper, None, None, ("new-lower", "new-upper"))
     existing = SampleSet(old, pts, frozen_count=pts.shape[0])
     if args.add > 0:
         rng = RngState(_resolve_seed(args))

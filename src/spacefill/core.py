@@ -404,19 +404,26 @@ def nearest_neighbor_distances(sample_set: SampleSet) -> np.ndarray:
     Requires at least two points; output has one entry per sample.  The
     squared distances are taken in row blocks under the block rule (at most
     256 rows and 2^18 distances per block), self-pairs read as inf, so memory
-    is bounded by one block.  A nearest-neighbor squared distance that
-    overflows float64 is an error.
+    is bounded by one block.  Each unordered pair is computed once: the
+    block of rows [s, e) is taken against the columns [s, n) only, reduced
+    by rows into its own minima and, right of the block, by columns into
+    the minima of rows [e, n).  That gives the bits of one (n, n) matrix,
+    since cdist's squared distances are symmetric bit for bit and a minimum
+    does no rounding.  A nearest-neighbor squared distance that overflows
+    float64 is an error.
     """
     n = len(sample_set)
     if n < 2:
         raise ValueError("nearest-neighbor distances require at least 2 points")
     pts = sample_set.points
     cdist = _distance().cdist
-    nn2 = np.empty(n)
+    nn2 = np.full(n, np.inf)
     for start, stop in _row_blocks(n, n):
-        d2 = cdist(pts[start:stop], pts, "sqeuclidean")
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        d2.min(axis=1, out=nn2[start:stop])
+        d2 = cdist(pts[start:stop], pts[start:], "sqeuclidean")
+        diag = np.arange(stop - start)
+        d2[diag, diag] = np.inf
+        np.minimum(nn2[start:stop], d2.min(axis=1), out=nn2[start:stop])
+        np.minimum(nn2[stop:], d2[:, stop - start:].min(axis=0), out=nn2[stop:])
     if nn2.max() == np.inf:
         raise ValueError("squared nearest-neighbor distance overflows float64; scale the set first")
     return np.sqrt(nn2)

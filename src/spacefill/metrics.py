@@ -100,6 +100,39 @@ def phi_p(sample_set: SampleSet, p: int = DEFAULT_P) -> float:
     return float(np.exp(_logsumexp(v) / p))
 
 
+# CL2's double sum fills each chunk's (chunk, n) block of products in
+# column tiles of about 2^15 doubles (256 KB), so that all d factors are
+# applied to a tile while it is in L2.  Blocks kept for mirroring hold at
+# most 2^21 doubles (16 MB) at a time.
+_CL2_TILE = 1 << 15
+_CL2_KEPT = 1 << 21
+
+
+def _cl2_products(xt, at, start, stop, c0, c1, acc, tiles) -> None:
+    """Write into ``acc[:, c0:c1]`` the CL2 kernel of rows [start, stop)
+    against columns [c0, c1): the product over dimensions, in ascending
+    order, of ``1 + 0.5 * ((a_i + a_j) - |x_i - x_j|)``.  The columns go a
+    tile at a time, each tile built in the contiguous buffers ``tiles`` and
+    then copied into acc."""
+    r, w = stop - start, tiles[0].shape[1]
+    xs, as_ = xt[:, start:stop, None], at[:, start:stop, None]
+    for t0 in range(c0, c1, w):
+        t1 = min(t0 + w, c1)
+        tile, fac, cross = (buf[:r, :t1 - t0] for buf in tiles)
+        for k in range(len(xt)):
+            # 1.0 + 0.5 * ((a_i + a_j) - |x_i - x_j|), into the tile for k == 0.
+            out = fac if k else tile
+            np.subtract(xs[k], xt[k, t0:t1], out=cross)
+            np.abs(cross, out=cross)
+            np.add(as_[k], at[k, t0:t1], out=out)
+            np.subtract(out, cross, out=out)
+            np.multiply(out, 0.5, out=out)
+            np.add(out, 1.0, out=out)
+            if k:
+                np.multiply(tile, fac, out=tile)
+        acc[:, t0:t1] = tile
+
+
 def cl2_discrepancy(sample_set: SampleSet, chunk: int = 256) -> float:
     """Centered L2 discrepancy of a point set in the unit cube.
 
@@ -107,12 +140,22 @@ def cl2_discrepancy(sample_set: SampleSet, chunk: int = 256) -> float:
     products, and a double sum over all (i, j) pairs including i == j.
     Coordinates must already lie in [0, 1]; scale first otherwise.
 
-    The double sum runs over chunks of ``chunk`` rows, and its temporaries
-    are three (chunk, n) blocks of doubles.  Within a chunk each dimension's
-    factor is built on its own, and the factors are multiplied together in
-    ascending dimension order, which is the order of numpy's ``prod`` over
-    the last axis; so the result is bit for bit that of one (chunk, n, d)
-    block reduced with ``prod(axis=2)``.
+    The double sum runs over chunks of ``chunk`` rows.  Each chunk's
+    (chunk, n) block of products is summed by one ``sum()``, and the chunk
+    sums are added in order.  Each dimension's factor is built on its own,
+    and the factors are multiplied together in ascending dimension order,
+    which is the order of numpy's ``prod`` over the last axis; so the result
+    is bit for bit that of one (chunk, n, d) block reduced with
+    ``prod(axis=2)``.
+
+    A chunk computes its products only for the columns from its own start
+    on, in column tiles of about 2^15 doubles.  The columns of an earlier
+    chunk J are the transpose of the (J, I) block that chunk J kept, which
+    has the same bits: the factor is the same double for (i, j) and (j, i),
+    since float addition commutes and ``fl(x_i - x_j) = -fl(x_j - x_i)``.
+    Kept blocks hold at most 2^21 doubles (16 MB); a block that found no
+    room when its chunk ran is computed instead.  So the temporaries are
+    one (chunk, n) block, three tiles and the kept blocks.
     """
     x = sample_set.points
     n, d = x.shape
@@ -128,22 +171,28 @@ def cl2_discrepancy(sample_set: SampleSet, chunk: int = 256) -> float:
     xt = np.ascontiguousarray(x.T)
     at = np.ascontiguousarray(a.T)
     rows = min(chunk, n)
-    acc_buf, fac_buf, cross_buf = (np.empty((rows, n)) for _ in range(3))
+    acc_buf = np.empty((rows, n))
+    tiles = [np.empty((rows, max(1, _CL2_TILE // rows))) for _ in range(3)]
+    kept = {}  # (J's start, I's start) -> chunk J's rows against chunk I's columns
+    room = _CL2_KEPT
     total = 0.0
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        acc, fac, cross = (buf[:stop - start] for buf in (acc_buf, fac_buf, cross_buf))
-        for k in range(d):
-            # 1.0 + 0.5 * ((a_i + a_j) - |x_i - x_j|), into acc for k == 0.
-            out = fac if k else acc
-            np.subtract(xt[k, start:stop, None], xt[k], out=cross)
-            np.abs(cross, out=cross)
-            np.add(at[k, start:stop, None], at[k], out=out)
-            np.subtract(out, cross, out=out)
-            np.multiply(out, 0.5, out=out)
-            np.add(out, 1.0, out=out)
-            if k:
-                np.multiply(acc, fac, out=acc)
+        acc = acc_buf[:stop - start]
+        for j0 in range(0, start, chunk):
+            block = kept.pop((j0, start), None)
+            if block is None:
+                _cl2_products(xt, at, start, stop, j0, j0 + chunk, acc, tiles)
+            else:
+                acc[:, j0:j0 + chunk] = block.T
+                room += block.size
+        _cl2_products(xt, at, start, stop, start, n, acc, tiles)
+        for i0 in range(stop, n, chunk):
+            block = acc[:, i0:i0 + chunk]
+            if block.size > room:
+                break
+            kept[start, i0] = block.copy()
+            room -= block.size
         total += acc.sum()
     term3 = total / (n * n)
 

@@ -99,6 +99,11 @@ def test_c3_10d1000_nn_avg_bands(suite):
         got = rep.cell_mean(method, False, "nn_avg")
         report(f"  C3 {method}: got {got:.4f}, reported {want} "
                f"({'in' if within(got, want, 0.10) else 'OUT of'} +/-10% band)")
+    # Informational, not asserted: the Latinized means of the trio that
+    # fails (see the note below).
+    latinized = ", ".join(f"{method} {rep.cell_mean(method, True, 'nn_avg'):.4f}"
+                          for method in ("greedyfp", "bc", "hybrid"))
+    report(f"  C3 Latinized nnAvg (informational): {latinized}")
     fails = _band_check(rep, "nn_avg", wants, 0.10)
     if wall >= 900:
         fails.append(f"runtime {wall:.0f}s >= 900s")

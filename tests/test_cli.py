@@ -149,19 +149,22 @@ class TestGenerate:
         code, _, err = run_out(capsys, "generate", "--config", str(path))
         assert (code, err) == (2, f"spacefill: {message}\n")
 
-    @pytest.mark.parametrize("domain, message", [
-        ({"lower": [True, 0, 0]}, "config domain lower must be a list of numbers"),
-        ({"upper": [1, 1, False]}, "config domain upper must be a list of numbers"),
-        ({"lower": [0, 0]}, "config domain lower must have 3 entries"),
-        ({"upper": [1, 1]}, "config domain upper must have 3 entries"),
-    ], ids=["lower-bool", "upper-bool", "lower-length", "upper-length"])
-    def test_config_domain_bound_exit_2(self, tmp_path, capsys, domain, message):
-        """A config's bounds are named as config entries, and a bool is not
-        a number."""
+    @pytest.mark.parametrize("domain, flags, message", [
+        ({"lower": [True, 0, 0]}, [], "config domain lower must be a list of numbers"),
+        ({"upper": [1, 1, False]}, [], "config domain upper must be a list of numbers"),
+        ({"lower": [0, 0]}, [], "config domain lower must have 3 entries"),
+        ({"upper": [1, 1]}, [], "config domain upper must have 3 entries"),
+        ({"lower": []}, [], "config domain lower must have 3 entries"),
+        ({}, ["--lower", ""], "--lower must be a comma-separated list of numbers"),
+    ], ids=["lower-bool", "upper-bool", "lower-length", "upper-length", "lower-empty",
+            "flag-empty"])
+    def test_config_domain_bound_exit_2(self, tmp_path, capsys, domain, flags, message):
+        """A config's bounds are named as config entries, a bool is not a
+        number, and an empty bound is an error, not the default."""
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"algorithm": "random", "dim": 3, "n": 3, "seed": 1,
                                     "domain": domain}))
-        code, out, err = run_out(capsys, "generate", "--config", str(path))
+        code, out, err = run_out(capsys, "generate", "--config", str(path), *flags)
         assert (code, out, err) == (2, "", f"spacefill: {message}\n")
 
 
@@ -1205,7 +1208,13 @@ class TestExpand:
         (["--new-lower", "0,0", "--new-upper", "2,2", "--add", "3", "--algo", "bc",
           "--params", "bogus=1"],
          "unknown parameter 'bogus' for algorithm 'bc'"),
-    ], ids=["outside-old-box", "disjoint", "bad-param"])
+        (["--new-lower", "0,0,0", "--new-upper", "1,1"], "--new-lower must have 2 entries"),
+        (["--new-lower", "0,0", "--new-upper", "2,abc"],
+         "--new-upper must be a comma-separated list of numbers"),
+        (["--lower", "0,0,0", "--new-lower", "0,0", "--new-upper", "1,1"],
+         "--lower must have 2 entries"),
+    ], ids=["outside-old-box", "disjoint", "bad-param", "new-lower-length", "new-upper-text",
+            "lower-length"])
     def test_invalid_request_exit_2(self, tmp_path, capsys, flags, message):
         src = tmp_path / "s.csv"
         src.write_text("x0,x1\n0.25,0.75\n0.5,0.5\n")

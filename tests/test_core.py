@@ -220,10 +220,11 @@ class TestNearestNeighbor:
         with pytest.raises(ValueError):
             nearest_neighbor_distances(SampleSet(unit2, [[0.5, 0.5]]))
 
-    @pytest.mark.parametrize("n, d", [(255, 3), (256, 2), (257, 4), (600, 10)])
+    @pytest.mark.parametrize("n, d", [(255, 3), (256, 2), (257, 4), (600, 10), (1500, 3)])
     @pytest.mark.parametrize("lattice", [False, True])
     def test_row_blocks_equal_full_matrix(self, n, d, lattice):
-        """Blocks of 256 rows give each distance the bits of one (n, n)
+        """Upper-triangle blocks of 256 rows (174 at n = 1,500), reduced by
+        rows and by columns, give each minimum the bits of one (n, n)
         matrix, ties and duplicate points included."""
         pts = RngState(n * d).random((n, d))
         if lattice:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 from scipy.special import logsumexp
 
+from spacefill import metrics
 from spacefill.core import Domain, RngState, SampleSet, min_pair
 from spacefill.metrics import _logsumexp, cl2_discrepancy, nn_stats, phi_p, quality_report
 
@@ -212,6 +213,17 @@ class TestCl2Bitwise:
         x, chunk = case
         assert cl2_discrepancy(_set(x), chunk) == brute_cl2_chunked(x, chunk)
 
+    @pytest.mark.parametrize("chunk", [7, 256])
+    @pytest.mark.parametrize("budget", ["none", "one block"])
+    def test_kept_block_budget(self, monkeypatch, chunk, budget):
+        """With no room for kept blocks, every block is computed; with room
+        for one, a chunk keeps one block and the others are computed.  Both
+        equal the reference bit for bit on at least five chunks."""
+        monkeypatch.setattr(metrics, "_CL2_KEPT", 0 if budget == "none" else chunk * chunk)
+        x = RngState(1100).random((1100, 3))
+        x[::5, 1] = 0.5
+        assert cl2_discrepancy(_set(x), chunk) == brute_cl2_chunked(x, chunk)
+
 
 class TestQualityReport:
     def test_fields_and_invariants(self):
@@ -241,3 +253,20 @@ def test_score_peak_rss_on_8000_points(tmp_path):
     )
     assert out.splitlines()[-1] == "0"
     assert peak_kib < 512 * 1024
+
+
+def test_cl2_added_peak_rss_on_8000_points():
+    """CL2 on 8,000 x 4 points adds under 40 MB to the resident set of a
+    fresh interpreter (VmHWM after the call minus VmRSS before it): one
+    (256, n) block of 16.4 MB, three tiles and at most 16 MB of kept
+    blocks.  An unbudgeted store of kept blocks, or one more (256, n)
+    temporary, breaks the bound."""
+    out, peak_kib = child_peak_rss_kib(
+        "from spacefill.core import Domain, RngState, SampleSet",
+        "from spacefill.metrics import cl2_discrepancy",
+        "s = SampleSet(Domain.unit(4), RngState(8000).random((8000, 4)))",
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmRSS:')))",
+        "cl2_discrepancy(s)",
+    )
+    assert peak_kib - int(out.splitlines()[-1]) < 40 * 1024
