@@ -24,7 +24,6 @@ from .core import (
     SamplingError,
     _outside,
     _rows,
-    min_squared_dists,
 )
 from . import samplers
 from .samplers import _greedy_picks
@@ -106,7 +105,7 @@ def density_weighted_select(candidates, selected, density: Callable, rng: RngSta
         raise SamplingError("all candidate densities are zero")
     if sel.size == 0:
         return samplers._density_draw_index(rng, vals)
-    return _greedy_picks(cands, min_squared_dists(cands, sel), 1, weights=vals)[0]
+    return _greedy_picks(cands, sel, 1, weights=vals)[0]
 
 
 def rejection_sample_density(domain: Domain, count: int, rng: RngState) -> SampleSet:
@@ -224,9 +223,8 @@ def curve_region_sample(region: CurveRegionSpec, n: int, rng: RngState) -> Sampl
     # Score in unit coordinates; keep the original candidate rows as output.
     cand_u = dom.to_unit(cands)
     scored = dom.to_unit(anchors.points) if region.include_anchors else np.empty((0, dom.dim))
-    min_d2 = min_squared_dists(cand_u, scored)
     first = None if region.include_anchors else rng.integers(total)
-    picks = _greedy_picks(cand_u, min_d2, n, first)
+    picks = _greedy_picks(cand_u, scored, n, first)
     stacked = np.vstack([anchors.points, cands[picks]])
     return SampleSet(dom, stacked, frozen_count=len(anchors))
 
@@ -289,9 +287,8 @@ def stream_subset(records: Iterable, config: StreamConfig, rng: RngState, *,
             winners.extend(seg)  # whole segment, arrival order, no draws
             continue
         base = np.asarray(winners) if winners else np.empty((0, dim))
-        min_d2 = min_squared_dists(seg, base)
         first = None if winners else rng.integers(len(seg))
-        winners.extend(seg[_greedy_picks(seg, min_d2, quota, first)])
+        winners.extend(seg[_greedy_picks(seg, base, quota, first)])
 
     if seen < n_subset:
         raise ValueError(f"record source yields {seen} records, fewer than the subset size {n_subset}")

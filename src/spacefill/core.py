@@ -391,6 +391,64 @@ def min_squared_dists(candidates: np.ndarray, selected: np.ndarray) -> np.ndarra
     return _reduce_rows(np.ndarray.min, candidates, selected, np.empty(candidates.shape[0]))
 
 
+# A screen runs only while every centred squared norm sums below 2^1000, so
+# no product, sum or bound in it can overflow.
+_SCREEN_NORM_MAX = 2.0 ** 1000
+
+
+def _screened_min_squared_dists(candidates: np.ndarray, selected: np.ndarray):
+    """``(approx, delta)``: each candidate's minimum squared distance to the
+    nonempty selected set, from one BLAS product per row block, and a bound
+    delta with ``|approx[i] - min_squared_dists(candidates, selected)[i]| <=
+    delta`` for every i.  None when a centred squared norm is non-finite or
+    the norms sum to 2^1000 or more.
+
+    Both sets are centred on the midpoint c of their joint bounding box, so
+    x = fl(candidate - c) and b = fl(selected - c).  The squared norms nx
+    and nb are row sums in any order.  Per block, ``[-2x, 1] @ [b, nb]^T``
+    gives t_ij = -2 x_i.b_j + nb_j, reduced to min_j t_ij; then approx_i =
+    fl(nx_i + min_j t_ij), which equals min_j fl(nx_i + t_ij) because
+    rounding is monotone.  With u = 2^-53 and N = max nx + max nb, the error
+    of approx_i against the exact squared distance, to first order in u:
+    centring moves the distance by at most (2u + u^2)(|x| + |b|)^2 <= 4uN;
+    nx and nb each carry d roundings; the (d + 1)-term dot product carries
+    (d + 1)u times the sum of its terms' magnitudes, at most 2N, in any
+    order and with or without FMA (Higham's gamma_{d+1} bound); the final
+    add is one rounding of at most 2N.  That is (4d + 8)uN.  cdist's own
+    value lies within (d + 2)u of the exact distance, relatively, at most
+    2(d + 2)uN.  delta = (8d + 32)uN covers the sum (6d + 12)uN with room
+    for the second-order terms and for comparisons made against it.  In the
+    subnormal range a multiplication may also lose up to 2^-1075, at most
+    4d of them along one path, which the added (d + 1) 2^-1070 covers.
+    Multiplying by -2 and by 1 is exact.  So the bound holds for any BLAS
+    build, thread count or summation order.
+    """
+    n, d = candidates.shape
+    lo = np.minimum(candidates.min(axis=0), selected.min(axis=0))
+    hi = np.maximum(candidates.max(axis=0), selected.max(axis=0))
+    centre = 0.5 * lo + 0.5 * hi  # no overflow where hi - lo would
+    left = np.empty((n, d + 1))
+    x = np.subtract(candidates, centre, out=left[:, :d])
+    nx = np.einsum("ij,ij->i", x, x)
+    right = np.empty((d + 1, selected.shape[0]))
+    b = np.subtract(selected.T, centre[:, None], out=right[:d])
+    nb = np.einsum("ij,ij->j", b, b, out=right[d])
+    xmax, bmax = nx.max(), nb.max()
+    if not (xmax < _SCREEN_NORM_MAX and bmax < _SCREEN_NORM_MAX - xmax):  # false for nan too
+        return None
+    top = xmax + bmax
+    x *= -2.0
+    left[:, d] = 1.0
+    out = np.empty(n)
+    blocks = list(_row_blocks(n, right.shape[1]))
+    buf = np.empty((blocks[0][1] - blocks[0][0], right.shape[1]))
+    for start, stop in blocks:
+        t = np.matmul(left[start:stop], right, out=buf[:stop - start])
+        t.min(axis=1, out=out[start:stop])
+    out += nx
+    return out, (8 * d + 32) * 2.0 ** -53 * top + (d + 1) * 2.0 ** -1070
+
+
 def nearest_labels(points: np.ndarray, generators: np.ndarray) -> np.ndarray:
     """Index of each point's nearest generator, ties to the lowest index,
     computed in row blocks under the block rule."""

@@ -29,6 +29,8 @@ from .core import (
     SampleSet,
     SamplingError,
     _distance,
+    _row_blocks,
+    _screened_min_squared_dists,
     condensed_pair,
     min_squared_dists,
     nearest_labels,
@@ -641,35 +643,94 @@ def _row_sums(sq: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _greedy_picks(x: np.ndarray, min_d2: np.ndarray, count: int,
+# Candidate-base pairs from which ``_greedy_picks`` screens its starting
+# minima; below it, cdist is about as fast as the screen's fixed costs.
+_SCREEN_PAIRS = 1 << 20
+
+
+def _greedy_picks(x: np.ndarray, base: np.ndarray, count: int,
                   first: Optional[int] = None,
                   weights: Optional[np.ndarray] = None) -> list:
     """Indices of count rows of x picked greedily to maximize the minimum
-    squared distance, or weights * distance when weights are given.
+    squared distance to the (m, d) base set and the earlier picks, or
+    weights * distance when weights are given.
 
-    min_d2 holds each row's starting minimum squared distance and is updated
-    in place; the first pick is row first when given.  A picked row's min_d2
-    is set to -inf, so it can never win again.  Arithmetic contract: each
-    pick's squared distances are, bit for bit, those of
-    ``((x - x[idx]) ** 2).sum(axis=1)``.  The candidates are transposed once
-    to (d, n), so a pick is contiguous column subtracts and squares, summed
-    in numpy's row-sum order by ``_row_sums``.
+    The first pick is row first when given; ties go to the lowest index.
+    Arithmetic contract: the picks are those made on exact minima.  A row's
+    starting minimum is ``min_squared_dists(x, base)``, cdist's bits, and
+    each pick's squared distances are, bit for bit, those of ``((x -
+    x[idx]) ** 2).sum(axis=1)``.  The candidates are transposed once to (d,
+    n), so a pick is contiguous column subtracts and squares, summed in
+    numpy's row-sum order by ``_row_sums``.  One running-minimum array holds
+    each row's minimum; a picked row's is -inf, so it never wins again.
+
+    Unweighted picks against at least ``_SCREEN_PAIRS`` candidate-base pairs
+    start from ``core._screened_min_squared_dists`` instead: one BLAS
+    product per row block, within delta of cdist's minima (its docstring
+    derives delta).  Since a pick needs only the argmax, it is checked, not
+    trusted: a row j can tie or beat the argmax i only if ``min_d2[j] +
+    slack[j] >= min_d2[i] - slack[i]``, slack being delta until the row is
+    resolved and 0 after.  When any row other than i can, the unresolved
+    contenders get their exact minima (cdist over base, then the earlier
+    picks' row sums) and the argmax is taken again.  So every pick, and
+    the output, is that of the exact path, and the BLAS bits never reach
+    an output.  Weighted picks, an empty base and norms that a screen
+    cannot bound take the exact path.
     """
+    n = x.shape[0]
+    screened = None
+    if weights is None and len(base) and n * len(base) >= _SCREEN_PAIRS:
+        screened = _screened_min_squared_dists(x, base)
+    if screened is None:
+        min_d2, delta = min_squared_dists(x, base), 0.0
+    else:
+        min_d2, delta = screened
+        slack = np.full(n, delta)
+        above = np.empty(n, dtype=bool)
     xt = np.ascontiguousarray(x.T)
     work = np.empty_like(xt)
-    row = np.empty(x.shape[0])
+    row = np.empty(n)
     picks = []
     for step in range(count):
         if step == 0 and first is not None:
             idx = first
         else:
             idx = int(np.argmax(_scores(min_d2, weights)))
+            while delta:  # screened: can another row tie or beat idx?
+                best, own = min_d2[idx], slack[idx]
+                np.greater_equal(min_d2, best - own - delta, out=above)
+                above[idx] = False
+                if not above.any():
+                    break
+                near = np.flatnonzero(above)
+                near = np.append(near[min_d2[near] + slack[near] >= best - own], idx)
+                open_ = near[slack[near] > 0]
+                if len(near) == 1 or not len(open_):
+                    break
+                min_d2[open_] = _exact_minima(x, xt, open_, base, picks)
+                slack[open_] = 0.0
+                idx = int(np.argmax(min_d2))
         picks.append(idx)
         np.subtract(xt, xt[:, idx, None], out=work)
         np.square(work, out=work)
         np.minimum(min_d2, _row_sums(work, row), out=min_d2)
         min_d2[idx] = -np.inf
     return picks
+
+
+def _exact_minima(x: np.ndarray, xt: np.ndarray, rows: np.ndarray, base: np.ndarray,
+                  picks: list) -> np.ndarray:
+    """The exact path's running minima of the given rows of x: cdist's
+    minimum over base, then each earlier pick's squared distance with the
+    bits of ``_row_sums``, taken in row blocks under ``core._row_blocks``."""
+    out = min_squared_dists(x[rows], base)
+    if picks:
+        p = np.asarray(picks)
+        for start, stop in _row_blocks(len(rows), len(p) * len(xt)):
+            sq = np.square(xt[:, rows[start:stop], None] - xt[:, None, p]).reshape(len(xt), -1)
+            sums = _row_sums(sq, np.empty(sq.shape[1])).reshape(stop - start, len(p))
+            np.minimum(out[start:stop], sums.min(axis=1), out=out[start:stop])
+    return out
 
 
 def _greedy_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
@@ -689,7 +750,7 @@ def _greedy_new(rng: RngState, domain: Domain, n: int, config: FpConfig,
             first = (rng.integers(len(pool)) if density_vals is None
                      else _density_draw_index(rng, density_vals))
         count = min(config.refresh_count or n, n - len(selected))
-        picks = _greedy_picks(pool, min_squared_dists(pool, scored), count, first, density_vals)
+        picks = _greedy_picks(pool, scored, count, first, density_vals)
         selected.extend(pool[picks])
     return np.asarray(selected)
 

@@ -1,9 +1,13 @@
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 import spacefill as sf
+from spacefill import core, samplers
 from spacefill.adapt import CurveRegionSpec, StreamConfig, _greedy_picks
 from spacefill.core import (
     Domain,
@@ -456,16 +460,15 @@ class TestGreedyPicks:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 60), st.data())
     def test_matches_row_sum_bitwise(self, d, n, data):
-        """Picks and final distances equal those of the row-sum loop, bit for
-        bit, in every dimension (column adds below 8, row sums above)."""
+        """Picks equal those of the row-sum loop from cdist's starting minima,
+        in every dimension (column adds below 8, row sums above)."""
         rs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = rs.random((n, d)) * 10.0 ** rs.integers(-3, 4, size=(1, d))
         base = rs.random((data.draw(st.integers(0, 5)), d))
         count = data.draw(st.integers(1, n))
         first = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
-        min_d2 = cdist(x, base, "sqeuclidean").min(axis=1) if len(base) else np.full(n, np.inf)
-        ref_d2 = min_d2.copy()
-        picks = _greedy_picks(x, min_d2, count, first)
+        ref_d2 = cdist(x, base, "sqeuclidean").min(axis=1) if len(base) else np.full(n, np.inf)
+        picks = _greedy_picks(x, base, count, first)
         ref = []
         for step in range(count):
             idx = first if step == 0 and first is not None else int(np.argmax(ref_d2))
@@ -473,7 +476,6 @@ class TestGreedyPicks:
             ref_d2 = np.minimum(ref_d2, ((x - x[idx]) ** 2).sum(axis=1))
             ref_d2[idx] = -np.inf
         assert picks == ref
-        assert min_d2.tobytes() == ref_d2.tobytes()
 
 
 class TestGreedyPicksWide:
@@ -493,6 +495,169 @@ class TestGreedyPicksWide:
         min_d2 = cdist(x, base, "sqeuclidean").min(axis=1) if len(base) else np.full(n, np.inf)
         if weighted and first is None and not len(base):
             first = 0  # keeps 0 * sqrt(inf) = nan out of the first scores
-        ref, ref_d2 = brute_greedy_picks(x, min_d2, count, first, weights)
-        assert _greedy_picks(x, min_d2, count, first, weights) == ref
-        assert min_d2.tobytes() == ref_d2.tobytes()
+        ref, _ = brute_greedy_picks(x, min_d2, count, first, weights)
+        assert _greedy_picks(x, base, count, first, weights) == ref
+
+
+def _adversarial_sets(kind, rs, n, m, d):
+    """Candidates x (n, d) and a base set (m, d) of one kind: lattices with
+    exactly tied distances, repeated rows (candidates repeat each other and
+    the base), a 1e6 common offset with spans from 1e-6 to 1e6, a base point
+    far off that makes the screen's bound large, or spread uniform rows."""
+    if kind == "lattice":
+        return (rs.integers(0, 4, (n, d)).astype(float),
+                rs.integers(0, 4, (m, d)).astype(float))
+    if kind == "duplicates":
+        pts = rs.random((max(1, n // 3), d))
+        x = pts[rs.integers(len(pts), size=n)]
+        return x, np.vstack([x[rs.integers(n, size=(m + 1) // 2)], rs.random((m // 2, d))])
+    if kind == "offset":
+        span = 10.0 ** rs.integers(-6, 7)
+        return 1e6 + span * rs.random((n, d)), 1e6 + span * rs.random((m, d))
+    x = rs.random((n, d)) * 10.0 ** rs.integers(-3, 4, size=(1, d))
+    base = rs.random((m, d))
+    if kind == "far":
+        base[0, 0] = 1e7
+    return x, base
+
+
+class _Spy:
+    """A wrapper that counts calls and the calls that returned None."""
+
+    def __init__(self, fn):
+        self.fn, self.calls, self.nones = fn, 0, 0
+
+    def __call__(self, *args):
+        out = self.fn(*args)
+        self.calls += 1
+        self.nones += out is None
+        return out
+
+
+def _screen_all():
+    """Screen every unweighted pick set with a nonempty base."""
+    return mock.patch.object(samplers, "_SCREEN_PAIRS", 0)
+
+
+def _screen_none():
+    return mock.patch.object(samplers, "_SCREEN_PAIRS", sys.maxsize)
+
+
+KINDS = ("uniform", "lattice", "duplicates", "offset", "far")
+
+
+class TestScreenedPicks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from(KINDS), st.integers(1, 80), st.integers(1, 40),
+           st.data())
+    def test_picks_match_exact_minima(self, d, kind, n, m, data):
+        """Screened picks equal the row-sum loop's on cdist's exact minima, in
+        every dimension (d >= 8 takes the pairwise row-sum order), with exact
+        ties, repeated rows, a 1e6 offset and a large bound; the pick count
+        may take every row."""
+        rs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x, base = _adversarial_sets(kind, rs, n, m, d)
+        count = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+        first = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        ref, _ = brute_greedy_picks(x, cdist(x, base, "sqeuclidean").min(axis=1), count, first)
+        spy = _Spy(core._screened_min_squared_dists)
+        with _screen_all(), mock.patch.object(samplers, "_screened_min_squared_dists", spy):
+            assert _greedy_picks(x, base, count, first) == ref
+        assert (spy.calls, spy.nones) == (1, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from(KINDS + ("tiny",)), st.integers(1, 80),
+           st.integers(1, 40), st.data())
+    def test_bound_holds(self, d, kind, n, m, data):
+        """The screen's minima lie within delta of cdist's, subnormal squares
+        included."""
+        rs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x, base = _adversarial_sets("uniform" if kind == "tiny" else kind, rs, n, m, d)
+        if kind == "tiny":
+            x, base = x * 1e-160, base * 1e-160
+        approx, delta = core._screened_min_squared_dists(x, base)
+        assert np.all(np.abs(approx - core.min_squared_dists(x, base)) <= delta)
+
+    @pytest.mark.parametrize("kind", ["lattice", "duplicates", "far"])
+    def test_near_ties_are_resolved(self, kind):
+        """These sets put rows within the bound of the argmax, so the exact
+        minima are computed, and the picks still match."""
+        rs = np.random.default_rng(7)
+        x, base = _adversarial_sets(kind, rs, 400, 30, 3)
+        ref, _ = brute_greedy_picks(x, cdist(x, base, "sqeuclidean").min(axis=1), 60, None)
+        spy = _Spy(samplers._exact_minima)
+        with _screen_all(), mock.patch.object(samplers, "_exact_minima", spy):
+            assert _greedy_picks(x, base, 60, None) == ref
+        assert spy.calls > 0
+
+    @pytest.mark.parametrize("n,m,screened", [(1024, 1024, True), (1023, 1025, False)])
+    def test_size_rule(self, n, m, screened):
+        """The screen starts at _SCREEN_PAIRS candidate-base pairs; both sides
+        give the exact picks, and weighted picks never screen."""
+        assert n * m - samplers._SCREEN_PAIRS == (0 if screened else -1)
+        rs = np.random.default_rng(8)
+        x, base = rs.random((n, 3)), rs.random((m, 3))
+        ref, _ = brute_greedy_picks(x, cdist(x, base, "sqeuclidean").min(axis=1), 20, None)
+        spy = _Spy(core._screened_min_squared_dists)
+        with mock.patch.object(samplers, "_screened_min_squared_dists", spy):
+            assert _greedy_picks(x, base, 20) == ref
+            assert spy.calls == screened
+            _greedy_picks(x, base, 2, weights=np.ones(n))
+            assert spy.calls == screened
+
+    @pytest.mark.parametrize("scale", [1e160, 1.2e154, 1e151])
+    def test_norms_near_overflow_take_exact_path(self, scale):
+        """A squared norm that overflows, or norms summing to 2^1000 or more,
+        give no screen; the picks, outputs and next draw are those of the
+        exact path."""
+        rs = np.random.default_rng(9)
+        x, base = rs.random((50, 4)) * scale, rs.random((20, 4)) * scale
+        assert core._screened_min_squared_dists(x, base) is None
+        # Centred on 0, these norms sum to exactly 2^1000, then 2^998.
+        edge = np.array([[-1.0, -1.0], [1.0, 1.0]]) * 2.0 ** 499
+        assert core._screened_min_squared_dists(edge, edge) is None
+        assert core._screened_min_squared_dists(edge / 2, edge / 2) is not None
+        records = RngState(10).random((3000, 4)) * scale
+        cfg = StreamConfig(segment_size=500, subset_size=120)
+        with _screen_none():
+            want = sf.stream_subset(records, cfg, rng := RngState(11)).points, rng.random()
+        spy = _Spy(core._screened_min_squared_dists)
+        with _screen_all(), mock.patch.object(samplers, "_screened_min_squared_dists", spy):
+            got = sf.stream_subset(records, cfg, rng := RngState(11)).points, rng.random()
+        assert spy.calls == spy.nones > 0
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+    @pytest.mark.parametrize("n_records,segment,subset", [
+        (3000, 500, 120),  # the last segment is full: picks end at a segment edge
+        (2999, 512, 97),
+        (1200, 100, 600),
+    ])
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "offset"])
+    def test_stream_subset_matches_exact_path(self, kind, n_records, segment, subset):
+        rs = np.random.default_rng(12)
+        records = _adversarial_sets(kind, rs, n_records, 1, 3)[0]
+        cfg = StreamConfig(segment_size=segment, subset_size=subset)
+        runs = []
+        for screen in (_screen_none, _screen_all):
+            with screen():
+                rng = RngState(13)
+                runs.append((sf.stream_subset(records, cfg, rng).points.tobytes(), rng.random()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("algo,params", [
+        ("hybrid", {"scale": 10, "refresh": 25}),
+        ("greedyfp", {"scale": 5}),
+    ])
+    @pytest.mark.parametrize("d", [1, 2, 4, 10])
+    def test_hybrid_and_greedyfp_match_exact_path(self, algo, params, d):
+        """Hybrid from scratch and greedyfp and hybrid against existing
+        points: the same output and next draw with and without the screen."""
+        existing = SampleSet(Domain.unit(d), RngState(14).random((30, d)))
+        for ex in (None, existing):
+            runs = []
+            for screen in (_screen_none, _screen_all):
+                with screen():
+                    rng = RngState(15)
+                    out = sf.generate(algo, Domain.unit(d), 100, rng, params, ex)
+                    runs.append((out.points.tobytes(), rng.random()))
+            assert runs[0] == runs[1]

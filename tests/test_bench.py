@@ -6,6 +6,8 @@ import json
 import pytest
 
 from spacefill import bench
+from spacefill.core import Domain, RngState
+from spacefill.samplers import generate, latinize
 from spacefill.bench import (
     DEFAULT_SEED_BASE,
     BenchReport,
@@ -49,6 +51,29 @@ class TestRunExperiment:
                          for k, v in db["summary"].items()}
         assert da["rows"] == db["rows"]
         assert da["summary"] == db["summary"]
+
+    def test_unmoved_latinized_set_reuses_report(self, monkeypatch):
+        """Latinizing an LHS set moves no coordinate, so an LHS cell computes
+        one report per repetition and its Latinized row repeats the plain
+        one; a random cell computes two.  Every row equals the report of its
+        set computed afresh."""
+        calls = []
+        real = bench.quality_report
+        monkeypatch.setattr(bench, "quality_report", lambda s: calls.append(s) or real(s))
+        methods = [("lhs-basic", {}), ("lhs-maximin", {"ntries": 2, "ninterchanges": 10}),
+                   ("random", {})]
+        report = run_experiment(tiny_spec(methods=methods))
+        assert len(calls) == 2 + 2 + 4
+        metrics = ("nn_min", "nn_avg", "nn_max", "phi_p", "cl2")
+        rows = {(r["method"], r["rep"], r["latinized"]): r for r in report.rows}
+        for method, params in methods:
+            for rep in range(2):
+                rng = RngState(cell_seed(99, method, rep))
+                plain = generate(method, Domain.unit(2), 40, rng, params)
+                for latinized, s in ((False, plain), (True, latinize(plain, rng))):
+                    q = real(s)
+                    assert [rows[method, rep, latinized][m] for m in metrics] == \
+                        [getattr(q, m) for m in metrics]
 
     def test_cell_seeds_reproducible_and_distinct(self):
         s1 = cell_seed(99, "bc", 0)

@@ -767,7 +767,7 @@ class TestDuplicatePoints:
         weights = np.linspace(0.5, 1.0, len(x)) if weighted else None
 
         def picks():
-            return samplers._greedy_picks(x, np.full(len(x), np.inf), count, 0, weights)
+            return samplers._greedy_picks(x, np.empty((0, 2)), count, 0, weights)
         got = picks()
         assert len(got) == count and len(set(got)) == count
         assert got == picks()
