@@ -646,6 +646,10 @@ def _row_sums(sq: np.ndarray, out: np.ndarray) -> np.ndarray:
 # Candidate-base pairs from which ``_greedy_picks`` screens its starting
 # minima; below it, cdist is about as fast as the screen's fixed costs.
 _SCREEN_PAIRS = 1 << 20
+# Once 1/_REPLAY_SHARE of a screened pick set's rows have needed exact
+# minima, every row gets them: many rows tie near the top (lattice or
+# repeated records), and a late resolution re-sums more earlier picks.
+_REPLAY_SHARE = 4
 
 
 def _greedy_picks(x: np.ndarray, base: np.ndarray, count: int,
@@ -672,10 +676,14 @@ def _greedy_picks(x: np.ndarray, base: np.ndarray, count: int,
     slack[j] >= min_d2[i] - slack[i]``, slack being delta until the row is
     resolved and 0 after.  When any row other than i can, the unresolved
     contenders get their exact minima (cdist over base, then the earlier
-    picks' row sums) and the argmax is taken again.  So every pick, and
-    the output, is that of the exact path, and the BLAS bits never reach
-    an output.  Weighted picks, an empty base and norms that a screen
-    cannot bound take the exact path.
+    picks' row sums) and the argmax is taken again.  When i is resolved,
+    only unresolved rows can still beat it, since argmax has ranked the
+    exact ones.  Once 1/``_REPLAY_SHARE`` of the rows have been resolved,
+    all of them are: the exact path's minima are computed and the earlier
+    picks replayed, and the picks go on unscreened.  So every pick, and the
+    output, is that of the exact path, and the BLAS bits never reach an
+    output.  Weighted picks, an empty base and norms that a screen cannot
+    bound take the exact path.
     """
     n = x.shape[0]
     screened = None
@@ -685,8 +693,9 @@ def _greedy_picks(x: np.ndarray, base: np.ndarray, count: int,
         min_d2, delta = min_squared_dists(x, base), 0.0
     else:
         min_d2, delta = screened
-        slack = np.full(n, delta)
+        unresolved = np.ones(n, dtype=bool)
         above = np.empty(n, dtype=bool)
+        resolved = 0
     xt = np.ascontiguousarray(x.T)
     work = np.empty_like(xt)
     row = np.empty(n)
@@ -697,25 +706,40 @@ def _greedy_picks(x: np.ndarray, base: np.ndarray, count: int,
         else:
             idx = int(np.argmax(_scores(min_d2, weights)))
             while delta:  # screened: can another row tie or beat idx?
-                best, own = min_d2[idx], slack[idx]
+                best, own = min_d2[idx], delta * unresolved[idx]
                 np.greater_equal(min_d2, best - own - delta, out=above)
+                if not own:
+                    np.logical_and(above, unresolved, out=above)
                 above[idx] = False
                 if not above.any():
                     break
                 near = np.flatnonzero(above)
-                near = np.append(near[min_d2[near] + slack[near] >= best - own], idx)
-                open_ = near[slack[near] > 0]
+                near = np.append(near[min_d2[near] + delta * unresolved[near] >= best - own], idx)
+                open_ = near[unresolved[near]]
                 if len(near) == 1 or not len(open_):
                     break
-                min_d2[open_] = _exact_minima(x, xt, open_, base, picks)
-                slack[open_] = 0.0
+                resolved += len(open_)
+                if resolved * _REPLAY_SHARE >= n:
+                    min_d2, delta = min_squared_dists(x, base), 0.0
+                    for p in picks:
+                        _lower_minima(min_d2, xt, p, work, row)
+                else:
+                    min_d2[open_] = _exact_minima(x, xt, open_, base, picks)
+                    unresolved[open_] = False
                 idx = int(np.argmax(min_d2))
         picks.append(idx)
-        np.subtract(xt, xt[:, idx, None], out=work)
-        np.square(work, out=work)
-        np.minimum(min_d2, _row_sums(work, row), out=min_d2)
-        min_d2[idx] = -np.inf
+        _lower_minima(min_d2, xt, idx, work, row)
     return picks
+
+
+def _lower_minima(min_d2: np.ndarray, xt: np.ndarray, idx: int, work: np.ndarray,
+                  row: np.ndarray) -> None:
+    """Lower the running minima to the squared distances from pick idx, in
+    place (work and row are scratch), and mark idx picked with -inf."""
+    np.subtract(xt, xt[:, idx, None], out=work)
+    np.square(work, out=work)
+    np.minimum(min_d2, _row_sums(work, row), out=min_d2)
+    min_d2[idx] = -np.inf
 
 
 def _exact_minima(x: np.ndarray, xt: np.ndarray, rows: np.ndarray, base: np.ndarray,

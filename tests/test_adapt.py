@@ -468,14 +468,16 @@ class TestGreedyPicks:
         count = data.draw(st.integers(1, n))
         first = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
         ref_d2 = cdist(x, base, "sqeuclidean").min(axis=1) if len(base) else np.full(n, np.inf)
-        picks = _greedy_picks(x, base, count, first)
         ref = []
         for step in range(count):
             idx = first if step == 0 and first is not None else int(np.argmax(ref_d2))
             ref.append(idx)
             ref_d2 = np.minimum(ref_d2, ((x - x[idx]) ** 2).sum(axis=1))
             ref_d2[idx] = -np.inf
-        assert picks == ref
+        for screen in (_screen_none, _screen_all):
+            with screen():
+                assert _greedy_picks(x, base, count, first) == ref
+        _assert_minima_bitwise(x, base, ref, ref_d2)
 
 
 class TestGreedyPicksWide:
@@ -495,8 +497,36 @@ class TestGreedyPicksWide:
         min_d2 = cdist(x, base, "sqeuclidean").min(axis=1) if len(base) else np.full(n, np.inf)
         if weighted and first is None and not len(base):
             first = 0  # keeps 0 * sqrt(inf) = nan out of the first scores
-        ref, _ = brute_greedy_picks(x, min_d2, count, first, weights)
-        assert _greedy_picks(x, base, count, first, weights) == ref
+        ref, ref_d2 = brute_greedy_picks(x, min_d2, count, first, weights)
+        for screen in (_screen_none, _screen_all):
+            with screen():
+                assert _greedy_picks(x, base, count, first, weights) == ref
+        _assert_minima_bitwise(x, base, ref, ref_d2)
+
+    @pytest.mark.parametrize("d", [*range(1, 131), 200, 256, 257, 300])
+    def test_row_sums_match_numpy(self, d):
+        """_row_sums has the bits of numpy's sum(axis=1) over the transpose
+        in every column count: in-order adds, 8 partial sums, and the
+        pairwise split above 128."""
+        rs = np.random.default_rng(d)
+        sq = rs.random((37, d)) * 10.0 ** rs.integers(-8, 9, size=(37, d))
+        got = samplers._row_sums(np.ascontiguousarray(sq.T), np.empty(37))
+        assert got.tobytes() == sq.sum(axis=1).tobytes()
+
+
+def _assert_minima_bitwise(x, base, picks, ref_d2):
+    """The running minima after these picks equal the reference loop's
+    ref_d2 bit for bit, both as the pick loop lowers them from cdist's
+    minima and as _exact_minima recomputes them for the rows not picked."""
+    xt = np.ascontiguousarray(x.T)
+    got = core.min_squared_dists(x, base)
+    work, row = np.empty_like(xt), np.empty(len(x))
+    for p in picks:
+        samplers._lower_minima(got, xt, p, work, row)
+    assert got.tobytes() == ref_d2.tobytes()
+    rows = np.setdiff1d(np.arange(len(x)), picks)
+    if len(rows):
+        assert samplers._exact_minima(x, xt, rows, base, picks).tobytes() == ref_d2[rows].tobytes()
 
 
 def _adversarial_sets(kind, rs, n, m, d):
@@ -549,19 +579,22 @@ KINDS = ("uniform", "lattice", "duplicates", "offset", "far")
 class TestScreenedPicks:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12), st.sampled_from(KINDS), st.integers(1, 80), st.integers(1, 40),
-           st.data())
-    def test_picks_match_exact_minima(self, d, kind, n, m, data):
+           st.sampled_from([0, 1, samplers._REPLAY_SHARE, sys.maxsize]), st.data())
+    def test_picks_match_exact_minima(self, d, kind, n, m, share, data):
         """Screened picks equal the row-sum loop's on cdist's exact minima, in
         every dimension (d >= 8 takes the pairwise row-sum order), with exact
         ties, repeated rows, a 1e6 offset and a large bound; the pick count
-        may take every row."""
+        may take every row.  The replay comes never (share 0), once every
+        row, a 1/_REPLAY_SHARE share of them or the first contender is
+        resolved."""
         rs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x, base = _adversarial_sets(kind, rs, n, m, d)
         count = data.draw(st.one_of(st.just(n), st.integers(1, n)))
         first = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
         ref, _ = brute_greedy_picks(x, cdist(x, base, "sqeuclidean").min(axis=1), count, first)
         spy = _Spy(core._screened_min_squared_dists)
-        with _screen_all(), mock.patch.object(samplers, "_screened_min_squared_dists", spy):
+        with _screen_all(), mock.patch.object(samplers, "_screened_min_squared_dists", spy), \
+                mock.patch.object(samplers, "_REPLAY_SHARE", share):
             assert _greedy_picks(x, base, count, first) == ref
         assert (spy.calls, spy.nones) == (1, 0)
 
@@ -578,17 +611,41 @@ class TestScreenedPicks:
         approx, delta = core._screened_min_squared_dists(x, base)
         assert np.all(np.abs(approx - core.min_squared_dists(x, base)) <= delta)
 
+    @pytest.mark.parametrize("replay", [False, True])
     @pytest.mark.parametrize("kind", ["lattice", "duplicates", "far"])
-    def test_near_ties_are_resolved(self, kind):
-        """These sets put rows within the bound of the argmax, so the exact
-        minima are computed, and the picks still match."""
+    def test_near_ties_are_resolved(self, kind, replay):
+        """These sets put rows within the bound of the argmax, so exact
+        minima are computed: for the contenders only (share 0 never
+        replays), or for every row at the first resolution; the picks still
+        match."""
         rs = np.random.default_rng(7)
         x, base = _adversarial_sets(kind, rs, 400, 30, 3)
         ref, _ = brute_greedy_picks(x, cdist(x, base, "sqeuclidean").min(axis=1), 60, None)
-        spy = _Spy(samplers._exact_minima)
-        with _screen_all(), mock.patch.object(samplers, "_exact_minima", spy):
+        contenders = _Spy(samplers._exact_minima)
+        exact = _Spy(core.min_squared_dists)
+        with _screen_all(), mock.patch.object(samplers, "_exact_minima", contenders), \
+                mock.patch.object(samplers, "min_squared_dists", exact), \
+                mock.patch.object(samplers, "_REPLAY_SHARE", sys.maxsize if replay else 0):
             assert _greedy_picks(x, base, 60, None) == ref
-        assert spy.calls > 0
+        if replay:  # the first resolution computes every row's minimum
+            assert (contenders.calls, exact.calls) == (0, 1)
+        else:
+            assert exact.calls == contenders.calls > 0
+
+    def test_all_rows_tied_replay_at_shipped_share(self):
+        """Every candidate repeats a base point, so all minima tie at 0: the
+        first pick resolves them all, the picks go on unscreened, and they
+        match."""
+        rs = np.random.default_rng(17)
+        lattice = np.array(np.meshgrid(*[[0.0, 1.0, 2.0]] * 3)).reshape(3, -1).T
+        x = lattice[rs.integers(len(lattice), size=500)]
+        ref, _ = brute_greedy_picks(x, cdist(x, lattice, "sqeuclidean").min(axis=1), 40, None)
+        contenders = _Spy(samplers._exact_minima)
+        exact = _Spy(core.min_squared_dists)
+        with _screen_all(), mock.patch.object(samplers, "_exact_minima", contenders), \
+                mock.patch.object(samplers, "min_squared_dists", exact):
+            assert _greedy_picks(x, lattice, 40, None) == ref
+        assert (contenders.calls, exact.calls) == (0, 1)
 
     @pytest.mark.parametrize("n,m,screened", [(1024, 1024, True), (1023, 1025, False)])
     def test_size_rule(self, n, m, screened):
