@@ -270,7 +270,10 @@ def _parse_vector(value, dim: int, key: str) -> np.ndarray:
         value = value * dim
     if len(value) != dim:
         raise CliError(f"{name} must have {dim} entries")
-    return np.array(value, dtype=float)
+    bound = np.array(value, dtype=float)
+    if not np.isfinite(bound).all():
+        raise CliError(f"{name} must be finite")
+    return bound
 
 
 def _parse_params(pairs) -> dict:

@@ -391,6 +391,9 @@ def min_squared_dists(candidates: np.ndarray, selected: np.ndarray) -> np.ndarra
     return _reduce_rows(np.ndarray.min, candidates, selected, np.empty(candidates.shape[0]))
 
 
+# Candidate-base pairs from which a screen runs; below it, cdist is about as
+# fast as the screen's fixed costs (centring, norms, the augmented copies).
+_SCREEN_PAIRS = 1 << 20
 # A screen runs only while every centred squared norm sums below 2^1000, so
 # no product, sum or bound in it can overflow.
 _SCREEN_NORM_MAX = 2.0 ** 1000
@@ -398,10 +401,12 @@ _SCREEN_NORM_MAX = 2.0 ** 1000
 
 def _screened_min_squared_dists(candidates: np.ndarray, selected: np.ndarray):
     """``(approx, delta)``: each candidate's minimum squared distance to the
-    nonempty selected set, from one BLAS product per row block, and a bound
-    delta with ``|approx[i] - min_squared_dists(candidates, selected)[i]| <=
-    delta`` for every i.  None when a centred squared norm is non-finite or
-    the norms sum to 2^1000 or more.
+    selected set, from one BLAS product per row block, and a bound delta
+    with ``|approx[i] - min_squared_dists(candidates, selected)[i]| <=
+    delta`` for every i.  It is cdist's minima and delta 0.0 when the
+    selected set is empty, when there are fewer than ``_SCREEN_PAIRS``
+    candidate-selected pairs, or when a centred squared norm is non-finite
+    or the norms sum to 2^1000 or more.
 
     Both sets are centred on the midpoint c of their joint bounding box, so
     x = fl(candidate - c) and b = fl(selected - c).  The squared norms nx
@@ -424,6 +429,9 @@ def _screened_min_squared_dists(candidates: np.ndarray, selected: np.ndarray):
     build, thread count or summation order.
     """
     n, d = candidates.shape
+    pairs = n * selected.shape[0]
+    if not pairs or pairs < _SCREEN_PAIRS:
+        return min_squared_dists(candidates, selected), 0.0
     lo = np.minimum(candidates.min(axis=0), selected.min(axis=0))
     hi = np.maximum(candidates.max(axis=0), selected.max(axis=0))
     centre = 0.5 * lo + 0.5 * hi  # no overflow where hi - lo would
@@ -435,7 +443,7 @@ def _screened_min_squared_dists(candidates: np.ndarray, selected: np.ndarray):
     nb = np.einsum("ij,ij->j", b, b, out=right[d])
     xmax, bmax = nx.max(), nb.max()
     if not (xmax < _SCREEN_NORM_MAX and bmax < _SCREEN_NORM_MAX - xmax):  # false for nan too
-        return None
+        return min_squared_dists(candidates, selected), 0.0
     top = xmax + bmax
     x *= -2.0
     left[:, d] = 1.0

@@ -643,15 +643,6 @@ def _row_sums(sq: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Candidate-base pairs from which ``_greedy_picks`` screens its starting
-# minima; below it, cdist is about as fast as the screen's fixed costs.
-_SCREEN_PAIRS = 1 << 20
-# Once 1/_REPLAY_SHARE of a screened pick set's rows have needed exact
-# minima, every row gets them: many rows tie near the top (lattice or
-# repeated records), and a late resolution re-sums more earlier picks.
-_REPLAY_SHARE = 4
-
-
 def _greedy_picks(x: np.ndarray, base: np.ndarray, count: int,
                   first: Optional[int] = None,
                   weights: Optional[np.ndarray] = None) -> list:
@@ -668,67 +659,63 @@ def _greedy_picks(x: np.ndarray, base: np.ndarray, count: int,
     numpy's row-sum order by ``_row_sums``.  One running-minimum array holds
     each row's minimum; a picked row's is -inf, so it never wins again.
 
-    Unweighted picks against at least ``_SCREEN_PAIRS`` candidate-base pairs
-    start from ``core._screened_min_squared_dists`` instead: one BLAS
-    product per row block, within delta of cdist's minima (its docstring
-    derives delta).  Since a pick needs only the argmax, it is checked, not
-    trusted: a row j can tie or beat the argmax i only if ``min_d2[j] +
-    slack[j] >= min_d2[i] - slack[i]``, slack being delta until the row is
-    resolved and 0 after.  When any row other than i can, the unresolved
-    contenders get their exact minima (cdist over base, then the earlier
-    picks' row sums) and the argmax is taken again.  When i is resolved,
-    only unresolved rows can still beat it, since argmax has ranked the
-    exact ones.  Once 1/``_REPLAY_SHARE`` of the rows have been resolved,
-    all of them are: the exact path's minima are computed and the earlier
-    picks replayed, and the picks go on unscreened.  So every pick, and the
-    output, is that of the exact path, and the BLAS bits never reach an
-    output.  Weighted picks, an empty base and norms that a screen cannot
-    bound take the exact path.
+    Unweighted picks start from ``core._screened_min_squared_dists``, which
+    from ``core._SCREEN_PAIRS`` candidate-base pairs on is one BLAS product
+    per row block, within delta of cdist's minima (its docstring derives
+    delta), and cdist's own minima with delta 0 otherwise.  Since a pick
+    needs only the argmax, it is checked, not trusted: a row j can tie or
+    beat the argmax i only if ``min_d2[j] + slack[j] >= min_d2[i] -
+    slack[i]``, slack being delta until the row is resolved and 0 after.
+    When any row other than i can, the unresolved contenders get their
+    exact minima (cdist over base, then the earlier picks' row sums) and
+    the argmax is taken again.  When i is resolved, only unresolved rows can
+    still beat it, since argmax has ranked the exact ones.  A row is
+    resolved at most once, so resolution computes at most n * (m + count)
+    pair distances, the exact path's own distance work.  So every pick,
+    and the output, is that of the exact path, and the BLAS bits never
+    reach an output.  Weighted picks take the exact path.
+
+    A pick whose best minimum overflows float64 to inf, while the base or
+    an earlier pick exists, raises ValueError.
     """
     n = x.shape[0]
-    screened = None
-    if weights is None and len(base) and n * len(base) >= _SCREEN_PAIRS:
-        screened = _screened_min_squared_dists(x, base)
-    if screened is None:
-        min_d2, delta = min_squared_dists(x, base), 0.0
+    if weights is None:
+        min_d2, delta = _screened_min_squared_dists(x, base)
     else:
-        min_d2, delta = screened
-        unresolved = np.ones(n, dtype=bool)
-        above = np.empty(n, dtype=bool)
-        resolved = 0
+        min_d2, delta = min_squared_dists(x, base), 0.0
+    unresolved = np.ones(n, dtype=bool)
+    above = np.empty(n, dtype=bool)
     xt = np.ascontiguousarray(x.T)
     work = np.empty_like(xt)
     row = np.empty(n)
     picks = []
-    for step in range(count):
-        if step == 0 and first is not None:
-            idx = first
-        else:
-            idx = int(np.argmax(_scores(min_d2, weights)))
-            while delta:  # screened: can another row tie or beat idx?
-                best, own = min_d2[idx], delta * unresolved[idx]
-                np.greater_equal(min_d2, best - own - delta, out=above)
-                if not own:
-                    np.logical_and(above, unresolved, out=above)
-                above[idx] = False
-                if not above.any():
-                    break
-                near = np.flatnonzero(above)
-                near = np.append(near[min_d2[near] + delta * unresolved[near] >= best - own], idx)
-                open_ = near[unresolved[near]]
-                if len(near) == 1 or not len(open_):
-                    break
-                resolved += len(open_)
-                if resolved * _REPLAY_SHARE >= n:
-                    min_d2, delta = min_squared_dists(x, base), 0.0
-                    for p in picks:
-                        _lower_minima(min_d2, xt, p, work, row)
-                else:
+    with np.errstate(over="ignore"):  # an overflow to inf is checked at the argmax
+        for step in range(count):
+            if step == 0 and first is not None:
+                idx = first
+            else:
+                idx = int(np.argmax(_scores(min_d2, weights)))
+                while delta:  # screened: can another row tie or beat idx?
+                    best, own = min_d2[idx], delta * unresolved[idx]
+                    np.greater_equal(min_d2, best - own - delta, out=above)
+                    if not own:
+                        np.logical_and(above, unresolved, out=above)
+                    above[idx] = False
+                    if not above.any():
+                        break
+                    near = np.flatnonzero(above)
+                    near = np.append(near[min_d2[near] + delta * unresolved[near] >= best - own], idx)
+                    open_ = near[unresolved[near]]
+                    if len(near) == 1 or not len(open_):
+                        break
                     min_d2[open_] = _exact_minima(x, xt, open_, base, picks)
                     unresolved[open_] = False
-                idx = int(np.argmax(min_d2))
-        picks.append(idx)
-        _lower_minima(min_d2, xt, idx, work, row)
+                    idx = int(np.argmax(min_d2))
+                if min_d2[idx] == np.inf and (len(base) or picks):
+                    raise ValueError("squared max-min distance overflows float64; "
+                                     "scale the input first")
+            picks.append(idx)
+            _lower_minima(min_d2, xt, idx, work, row)
     return picks
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 import spacefill as sf
-from spacefill import core, samplers
+from spacefill import adapt, core, samplers
 from spacefill.adapt import CurveRegionSpec, StreamConfig, _greedy_picks
 from spacefill.core import (
     Domain,
@@ -531,12 +531,15 @@ def _assert_minima_bitwise(x, base, picks, ref_d2):
 
 def _adversarial_sets(kind, rs, n, m, d):
     """Candidates x (n, d) and a base set (m, d) of one kind: lattices with
-    exactly tied distances, repeated rows (candidates repeat each other and
-    the base), a 1e6 common offset with spans from 1e-6 to 1e6, a base point
-    far off that makes the screen's bound large, or spread uniform rows."""
+    exactly tied distances, values quantized to 0.01, repeated rows
+    (candidates repeat each other and the base), a 1e6 common offset with
+    spans from 1e-6 to 1e6, a base point far off that makes the screen's
+    bound large, or spread uniform rows."""
     if kind == "lattice":
         return (rs.integers(0, 4, (n, d)).astype(float),
                 rs.integers(0, 4, (m, d)).astype(float))
+    if kind == "quantized":
+        return np.round(rs.random((n, d)), 2), np.round(rs.random((m, d)), 2)
     if kind == "duplicates":
         pts = rs.random((max(1, n // 3), d))
         x = pts[rs.integers(len(pts), size=n)]
@@ -552,51 +555,59 @@ def _adversarial_sets(kind, rs, n, m, d):
 
 
 class _Spy:
-    """A wrapper that counts calls and the calls that returned None."""
+    """A wrapper that logs the arguments and result of every call."""
 
     def __init__(self, fn):
-        self.fn, self.calls, self.nones = fn, 0, 0
+        self.fn, self.log = fn, []
 
     def __call__(self, *args):
         out = self.fn(*args)
-        self.calls += 1
-        self.nones += out is None
+        self.log.append((args, out))
         return out
+
+    @property
+    def calls(self):
+        return len(self.log)
 
 
 def _screen_all():
     """Screen every unweighted pick set with a nonempty base."""
-    return mock.patch.object(samplers, "_SCREEN_PAIRS", 0)
+    return mock.patch.object(core, "_SCREEN_PAIRS", 0)
 
 
 def _screen_none():
-    return mock.patch.object(samplers, "_SCREEN_PAIRS", sys.maxsize)
+    return mock.patch.object(core, "_SCREEN_PAIRS", sys.maxsize)
 
 
-KINDS = ("uniform", "lattice", "duplicates", "offset", "far")
+def _deltas(spy):
+    """The deltas a spied _screened_min_squared_dists returned."""
+    return [out[1] for _, out in spy.log]
+
+
+KINDS = ("uniform", "lattice", "quantized", "duplicates", "offset", "far")
 
 
 class TestScreenedPicks:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12), st.sampled_from(KINDS), st.integers(1, 80), st.integers(1, 40),
-           st.sampled_from([0, 1, samplers._REPLAY_SHARE, sys.maxsize]), st.data())
-    def test_picks_match_exact_minima(self, d, kind, n, m, share, data):
+           st.data())
+    def test_picks_match_exact_minima(self, d, kind, n, m, data):
         """Screened picks equal the row-sum loop's on cdist's exact minima, in
         every dimension (d >= 8 takes the pairwise row-sum order), with exact
-        ties, repeated rows, a 1e6 offset and a large bound; the pick count
-        may take every row.  The replay comes never (share 0), once every
-        row, a 1/_REPLAY_SHARE share of them or the first contender is
-        resolved."""
+        ties, quantized values, repeated rows, a 1e6 offset and a large
+        bound; the pick count may take every row.  No row is resolved twice."""
         rs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x, base = _adversarial_sets(kind, rs, n, m, d)
         count = data.draw(st.one_of(st.just(n), st.integers(1, n)))
         first = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
         ref, _ = brute_greedy_picks(x, cdist(x, base, "sqeuclidean").min(axis=1), count, first)
-        spy = _Spy(core._screened_min_squared_dists)
-        with _screen_all(), mock.patch.object(samplers, "_screened_min_squared_dists", spy), \
-                mock.patch.object(samplers, "_REPLAY_SHARE", share):
+        screen, exact = _Spy(core._screened_min_squared_dists), _Spy(samplers._exact_minima)
+        with _screen_all(), mock.patch.object(samplers, "_screened_min_squared_dists", screen), \
+                mock.patch.object(samplers, "_exact_minima", exact):
             assert _greedy_picks(x, base, count, first) == ref
-        assert (spy.calls, spy.nones) == (1, 0)
+        assert screen.calls == 1 and _deltas(screen)[0] > 0
+        rows = np.concatenate([args[2] for args, _ in exact.log] or [np.empty(0, dtype=int)])
+        assert len(np.unique(rows)) == len(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.sampled_from(KINDS + ("tiny",)), st.integers(1, 80),
@@ -611,77 +622,118 @@ class TestScreenedPicks:
         approx, delta = core._screened_min_squared_dists(x, base)
         assert np.all(np.abs(approx - core.min_squared_dists(x, base)) <= delta)
 
-    @pytest.mark.parametrize("replay", [False, True])
-    @pytest.mark.parametrize("kind", ["lattice", "duplicates", "far"])
-    def test_near_ties_are_resolved(self, kind, replay):
-        """These sets put rows within the bound of the argmax, so exact
-        minima are computed: for the contenders only (share 0 never
-        replays), or for every row at the first resolution; the picks still
-        match."""
+    @pytest.mark.parametrize("kind", ["lattice", "quantized", "duplicates", "far"])
+    def test_near_ties_are_resolved(self, kind):
+        """These sets put rows within the bound of the argmax, so the
+        contenders get exact minima, and no other exact minima are computed;
+        the picks still match."""
         rs = np.random.default_rng(7)
         x, base = _adversarial_sets(kind, rs, 400, 30, 3)
         ref, _ = brute_greedy_picks(x, cdist(x, base, "sqeuclidean").min(axis=1), 60, None)
         contenders = _Spy(samplers._exact_minima)
         exact = _Spy(core.min_squared_dists)
         with _screen_all(), mock.patch.object(samplers, "_exact_minima", contenders), \
-                mock.patch.object(samplers, "min_squared_dists", exact), \
-                mock.patch.object(samplers, "_REPLAY_SHARE", sys.maxsize if replay else 0):
+                mock.patch.object(samplers, "min_squared_dists", exact):
             assert _greedy_picks(x, base, 60, None) == ref
-        if replay:  # the first resolution computes every row's minimum
-            assert (contenders.calls, exact.calls) == (0, 1)
-        else:
-            assert exact.calls == contenders.calls > 0
+        assert exact.calls == contenders.calls > 0
 
-    def test_all_rows_tied_replay_at_shipped_share(self):
+    def test_all_rows_tied_resolve_once(self):
         """Every candidate repeats a base point, so all minima tie at 0: the
-        first pick resolves them all, the picks go on unscreened, and they
-        match."""
+        first pick resolves every row once, later picks resolve none, and
+        the picks match."""
         rs = np.random.default_rng(17)
         lattice = np.array(np.meshgrid(*[[0.0, 1.0, 2.0]] * 3)).reshape(3, -1).T
         x = lattice[rs.integers(len(lattice), size=500)]
         ref, _ = brute_greedy_picks(x, cdist(x, lattice, "sqeuclidean").min(axis=1), 40, None)
-        contenders = _Spy(samplers._exact_minima)
-        exact = _Spy(core.min_squared_dists)
-        with _screen_all(), mock.patch.object(samplers, "_exact_minima", contenders), \
-                mock.patch.object(samplers, "min_squared_dists", exact):
+        resolved = []  # each resolution's rows and the picks made before it
+        exact = samplers._exact_minima
+
+        def exact_minima(x, xt, rows, base, picks):
+            resolved.append((np.sort(rows), len(picks)))
+            return exact(x, xt, rows, base, picks)
+
+        with _screen_all(), mock.patch.object(samplers, "_exact_minima", exact_minima):
             assert _greedy_picks(x, lattice, 40, None) == ref
-        assert (contenders.calls, exact.calls) == (0, 1)
+        assert len(resolved) == 1
+        rows, earlier = resolved[0]
+        assert earlier == 0 and np.array_equal(rows, np.arange(500))
+
+    @pytest.mark.parametrize("kind", ["lattice", "quantized", "duplicates"])
+    def test_each_row_resolved_at_most_once(self, kind):
+        """On tie-heavy streams with the screen forced on, no row of a pick
+        set is resolved twice, so a set of n rows resolves at most n, and
+        the picks and next draw are the exact path's."""
+        records = _adversarial_sets(kind, np.random.default_rng(21), 3000, 1, 4)[0]
+        cfg = StreamConfig(segment_size=500, subset_size=200)
+        with _screen_none():
+            want = sf.stream_subset(records, cfg, rng := RngState(22)).points.tobytes(), rng.random()
+        resolved = []  # per pick set: its row count and each resolution's rows
+        greedy, exact = samplers._greedy_picks, samplers._exact_minima
+
+        def picks(x, *args):
+            resolved.append((len(x), []))
+            return greedy(x, *args)
+
+        def exact_minima(x, xt, rows, *args):
+            resolved[-1][1].append(rows.copy())
+            return exact(x, xt, rows, *args)
+
+        with _screen_all(), mock.patch.object(adapt, "_greedy_picks", picks), \
+                mock.patch.object(samplers, "_exact_minima", exact_minima):
+            got = sf.stream_subset(records, cfg, rng := RngState(22)).points.tobytes(), rng.random()
+        assert got == want
+        assert any(runs for _, runs in resolved)
+        for n, runs in resolved:
+            rows = np.concatenate(runs) if runs else np.empty(0, dtype=int)
+            assert len(np.unique(rows)) == len(rows) <= n
 
     @pytest.mark.parametrize("n,m,screened", [(1024, 1024, True), (1023, 1025, False)])
     def test_size_rule(self, n, m, screened):
-        """The screen starts at _SCREEN_PAIRS candidate-base pairs; both sides
-        give the exact picks, and weighted picks never screen."""
-        assert n * m - samplers._SCREEN_PAIRS == (0 if screened else -1)
+        """The screen starts at _SCREEN_PAIRS candidate-base pairs, below
+        which it returns cdist's minima with delta 0; both sides give the
+        exact picks, and weighted picks never screen."""
+        assert n * m - core._SCREEN_PAIRS == (0 if screened else -1)
         rs = np.random.default_rng(8)
         x, base = rs.random((n, 3)), rs.random((m, 3))
         ref, _ = brute_greedy_picks(x, cdist(x, base, "sqeuclidean").min(axis=1), 20, None)
         spy = _Spy(core._screened_min_squared_dists)
         with mock.patch.object(samplers, "_screened_min_squared_dists", spy):
             assert _greedy_picks(x, base, 20) == ref
-            assert spy.calls == screened
             _greedy_picks(x, base, 2, weights=np.ones(n))
-            assert spy.calls == screened
+        assert spy.calls == 1 and (_deltas(spy)[0] > 0) == screened
+        if not screened:
+            approx = core._screened_min_squared_dists(x, base)[0]
+            assert approx.tobytes() == core.min_squared_dists(x, base).tobytes()
 
     @pytest.mark.parametrize("scale", [1e160, 1.2e154, 1e151])
     def test_norms_near_overflow_take_exact_path(self, scale):
         """A squared norm that overflows, or norms summing to 2^1000 or more,
-        give no screen; the picks, outputs and next draw are those of the
-        exact path."""
+        give no screen: cdist's minima with delta 0.  Where a pick's best
+        minimum overflows, stream_subset refuses the records; where none
+        does, the outputs and next draw are those of the exact path."""
         rs = np.random.default_rng(9)
         x, base = rs.random((50, 4)) * scale, rs.random((20, 4)) * scale
-        assert core._screened_min_squared_dists(x, base) is None
         # Centred on 0, these norms sum to exactly 2^1000, then 2^998.
         edge = np.array([[-1.0, -1.0], [1.0, 1.0]]) * 2.0 ** 499
-        assert core._screened_min_squared_dists(edge, edge) is None
-        assert core._screened_min_squared_dists(edge / 2, edge / 2) is not None
-        records = RngState(10).random((3000, 4)) * scale
+        with _screen_all():
+            for a, b in ((x, base), (edge, edge)):
+                approx, delta = core._screened_min_squared_dists(a, b)
+                assert delta == 0.0
+                assert approx.tobytes() == core.min_squared_dists(a, b).tobytes()
+            assert core._screened_min_squared_dists(edge / 2, edge / 2)[1] > 0
+        records = (2.0 * RngState(10).random((3000, 4)) - 1.0) * scale
         cfg = StreamConfig(segment_size=500, subset_size=120)
+        if scale > 1e151:
+            for screen in (_screen_none, _screen_all):
+                with screen(), pytest.raises(ValueError, match="overflows float64"):
+                    sf.stream_subset(records, cfg, RngState(11))
+            return
         with _screen_none():
             want = sf.stream_subset(records, cfg, rng := RngState(11)).points, rng.random()
         spy = _Spy(core._screened_min_squared_dists)
         with _screen_all(), mock.patch.object(samplers, "_screened_min_squared_dists", spy):
             got = sf.stream_subset(records, cfg, rng := RngState(11)).points, rng.random()
-        assert spy.calls == spy.nones > 0
+        assert spy.calls > 0 and set(_deltas(spy)) == {0.0}
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
     @pytest.mark.parametrize("n_records,segment,subset", [

@@ -1,6 +1,8 @@
 import builtins
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -838,6 +840,27 @@ class TestSubset:
                                "--segment", "2", "--total", "4", "--seed", "1")
         assert (code, err) == (2, want)
 
+    @pytest.mark.parametrize("scale", [1e160, 1.2e154, 1e151])
+    def test_overflowing_records_exit_2(self, tmp_path, scale):
+        """Records whose farthest squared distance overflows float64 exit 2
+        with one spacefill: line and no warning.  At 1e151 the screen's norm
+        guard takes the exact path, no distance overflows, and the output
+        keeps its pinned bytes."""
+        rows = 2.0 * RngState(30).random((400, 4)) - 1.0
+        rows[:16] = list(itertools.product([-1.0, 1.0], repeat=4))
+        path = tmp_path / "far.csv"
+        path.write_text("a,b,c,d\n" + "".join(format_row(r) + "\n" for r in rows * scale))
+        code, out, err, caught = _generate(["subset", "--in", str(path), "--n", "20",
+                                            "--segment", "100", "--seed", "1"])
+        assert caught == []
+        if scale > 1e151:
+            assert (code, out, err) == (2, "", "spacefill: squared max-min distance overflows "
+                                               "float64; scale the input first\n")
+        else:
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "7c8a889611e370f7cb379f5a7edea1a5dc3ce6f7888c21ad8562be1e848b75d3")
+
     def test_stdin_matches_file(self, big_csv, tmp_path, monkeypatch):
         argv = ["subset", "--n", "30", "--segment", "400", "--total", "3000", "--seed", "2"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1213,13 +1236,107 @@ class TestExpand:
          "--new-upper must be a comma-separated list of numbers"),
         (["--lower", "0,0,0", "--new-lower", "0,0", "--new-upper", "1,1"],
          "--lower must have 2 entries"),
+        (["--new-lower", "nan,0", "--new-upper", "2,2"], "--new-lower must be finite"),
+        (["--upper", "inf", "--new-lower", "0,0", "--new-upper", "2,2"], "--upper must be finite"),
     ], ids=["outside-old-box", "disjoint", "bad-param", "new-lower-length", "new-upper-text",
-            "lower-length"])
+            "lower-length", "new-lower-nan", "upper-inf"])
     def test_invalid_request_exit_2(self, tmp_path, capsys, flags, message):
         src = tmp_path / "s.csv"
         src.write_text("x0,x1\n0.25,0.75\n0.5,0.5\n")
         code, _, err = run_out(capsys, "expand", "--in", str(src), "--seed", "1", *flags)
         assert (code, err) == (2, f"spacefill: {message}\n")
+
+
+# Bound texts of the expand contract test that no bound may take.
+_BAD_BOUNDS = ["nan", "inf", "-inf", "1e400", "abc", "", "1,2,3,4,5"]
+
+
+def _bound_text(v) -> str:
+    """A bound flag's text: one entry when every entry is the same."""
+    return format_row(v[:1] if np.all(v == v[0]) else v)
+
+
+@st.composite
+def expand_runs(draw):
+    """expand argv on n <= 50 rows in d <= 4 with --add <= 20, and what an
+    exit 0 must write.  The old box is the default unit box or drawn; a row
+    may lie outside it.  The new box grows, equals, shrinks, shifts or
+    leaves the old one, and one bound flag in six holds a bad text."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 50))
+
+    def per_dim(values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=d, max_size=d)))
+
+    unit = draw(st.booleans())
+    lo = np.zeros(d) if unit else per_dim([-1.0, 0.0, 0.25, 1e6])
+    w = np.ones(d) if unit else per_dim([1e-6, 0.5, 1.0, 3.0])
+    hi = lo + w
+    rows = np.minimum(lo + RngState(draw(st.integers(0, 2**32 - 1))).random((n, d)) * w, hi)
+    if draw(st.integers(0, 7)) == 0:
+        rows[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] += 2.0 * w[0]
+    kind = draw(st.sampled_from(["grow", "grow", "equal", "shrink", "shift", "disjoint"]))
+    if kind == "grow":
+        new_lo, new_hi = lo - per_dim([0.0, 0.25, 1.0]) * w, hi + per_dim([0.0, 0.5]) * w
+    elif kind == "shrink":
+        new_lo, new_hi = lo + per_dim([0.0, 0.25]) * w, hi - per_dim([0.0, 0.5]) * w
+    else:
+        shift = {"equal": 0.0, "shift": 0.5, "disjoint": 2.0}[kind]
+        new_lo, new_hi = lo + shift * w, hi + shift * w
+    flags = {"--new-lower": _bound_text(new_lo), "--new-upper": _bound_text(new_hi)}
+    if not unit or draw(st.booleans()):
+        flags.update({"--lower": _bound_text(lo), "--upper": _bound_text(hi)})
+    bad = draw(st.integers(0, 5)) == 0
+    if bad:
+        flags[draw(st.sampled_from(sorted(flags)))] = draw(st.sampled_from(_BAD_BOUNDS))
+    algo, add = draw(st.sampled_from(samplers.INCREMENTAL_ALGORITHMS)), draw(st.integers(-1, 20))
+    argv = ["expand", "--add", str(add), "--algo", algo]
+    keys = draw(st.lists(st.sampled_from([*sorted(samplers.TABLE_DEFAULTS[algo]), "bogus"]),
+                         max_size=2, unique=True))
+    # One value in four is of a wrong kind; the unknown key fails with any.
+    values = {k: draw(st.sampled_from(_BAD_VALUES if draw(st.integers(0, 3)) == 0
+                                      else _GOOD_VALUES.get(k, ["1"]))) for k in keys}
+    if values:
+        argv += ["--params", ",".join(f"{k}={v}" for k, v in values.items())]
+    if draw(st.integers(0, 7)):
+        argv += ["--seed", str(draw(st.integers(0, 2**32 - 1)))]
+    # --flag=text, so that a bound starting with a minus is not read as a flag.
+    argv += [f"{flag}={text}" for flag, text in flags.items()]
+    return argv, rows, (new_lo, new_hi), kind, bad, add
+
+
+class TestExpandContract:
+    """Any expand run within the size bounds exits 0, 1 or 2, fails with
+    exactly one spacefill: line and no warning, and reruns byte for byte.
+    On success, growing the box returns the input rows first, bit for bit,
+    then the added rows, all inside the new box; any other new box returns
+    exactly the input rows inside it, in order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(expand_runs())
+    def test_contract(self, case):
+        argv, rows, (new_lo, new_hi), kind, bad, add = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write("".join(format_row(r) + "\n" for r in rows))
+            argv = [*argv, "--in", path]
+            code, out, err, caught = _generate(argv)
+            assert _generate(argv)[:3] == (code, out, err)
+        assert code in (0, 1, 2) and caught == []
+        if code:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("spacefill: ")
+            return
+        assert err == "" and not bad and kind != "disjoint"
+        got = np.array([[float(v) for v in ln.split(",")] for ln in out.splitlines()[1:]])
+        got = got.reshape(-1, rows.shape[1])
+        inside = np.all((got >= new_lo) & (got <= new_hi), axis=1)
+        if kind in ("grow", "equal"):
+            assert len(got) == len(rows) + add
+            assert got[:len(rows)].tobytes() == rows.tobytes()
+            assert inside.all()
+        else:
+            keep = np.all((rows >= new_lo) & (rows <= new_hi), axis=1)
+            assert got.tobytes() == rows[keep].tobytes()
 
 
 class TestAppendRegion:
