@@ -176,7 +176,7 @@ def expand_domain(existing: SampleSet, new_domain: Domain, m: int, algorithm: st
     if _boxes_disjoint(new_domain, old):
         raise ValueError("new domain is disjoint from the existing one")
     # The algorithm-id rules hold even when nothing is drawn.
-    p = samplers._checked(algorithm, params, 1, new_domain, existing)
+    cfg = samplers._checked(algorithm, params, 1, new_domain, existing)
     if not _box_contains(new_domain, old):
         keep = new_domain.contains(existing.points)
         if new_domain.viability is not None:
@@ -191,7 +191,7 @@ def expand_domain(existing: SampleSet, new_domain: Domain, m: int, algorithm: st
         f"expand-domain:{m}:{new_domain.lower.tolist()}:{new_domain.upper.tolist()}"
     )
     exist_u = samplers._existing_unit(new_domain, existing)
-    new_unit = samplers._new_points(algorithm, child, _outside(old, new_domain), m, p, exist_u)
+    new_unit = samplers._new_points(algorithm, child, _outside(old, new_domain), m, cfg, exist_u)
     return samplers._assemble(new_domain, existing, new_unit)
 
 

@@ -72,7 +72,7 @@ class ExperimentSpec:
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for method, params in self.methods:
-            _checked(method, params, self.n_samples)  # a value out of range fails its cells
+            _checked(method, params, self.n_samples)
 
     def to_dict(self) -> dict:
         return {
@@ -210,8 +210,8 @@ def paper_suite(seed_base: int = DEFAULT_SEED_BASE, reps_override: Optional[int]
         ("10d-1000", 10, 1000, 20),
     ]
     return [
-        ExperimentSpec(name=name, dim=dim, n_samples=n,
-                       repetitions=reps_override or reps, seed_base=seed_base)
+        ExperimentSpec(name=name, dim=dim, n_samples=n, seed_base=seed_base,
+                       repetitions=reps if reps_override is None else reps_override)
         for name, dim, n, reps in grid
     ]
 

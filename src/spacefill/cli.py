@@ -352,18 +352,9 @@ def _load_run_config(path: str) -> dict:
     if set(dom) - {"lower", "upper"}:
         raise CliError("config domain must be an object with keys lower/upper")
     for key, value in dom.items():
-        if not _is_numbers(value):
+        if not (isinstance(value, list) and all(samplers._is_number(v, False) for v in value)):
             raise CliError(f"config domain {key} must be a list of numbers")
-    for key, value in (cfg.get("params") or {}).items():
-        # Values a --params entry can give, and per-dimension bins.
-        if not (isinstance(value, (int, float, str)) or key == "bins" and _is_numbers(value)):
-            raise CliError(f"config params {key} must be a number or a string")
     return cfg
-
-
-def _is_numbers(value) -> bool:
-    """Whether value is a list of finite numbers; a bool is not one."""
-    return isinstance(value, list) and all(samplers._is_number(v, False) for v in value)
 
 
 def _out_stream(args):
@@ -444,6 +435,8 @@ def cmd_subset(args) -> int:
     config = adapt.StreamConfig(segment_size=args.segment, subset_size=args.n)
     if args.infile == "-" and args.total is None:
         raise CliError("subset from stdin requires --total (stream size unknown)")
+    if args.total is not None and args.total < 1:
+        raise CliError("--total must be >= 1")
     with CsvRecordStream(args.infile) as stream:
         total = int(args.total) if args.total is not None else stream.estimate_total
         result = adapt.stream_subset(stream, config, RngState(seed), total_records=total)
@@ -500,7 +493,7 @@ def cmd_bench(args) -> int:
                 raise CliError(f"bad experiment spec: name must be a file name, got {name!r}")
             if names.count(name) > 1:
                 raise CliError(f"bad experiment spec: name {name!r} is not unique")
-        if args.reps_override:
+        if args.reps_override is not None:
             specs = [dataclasses.replace(s, repetitions=args.reps_override) for s in specs]
     else:
         seed_base = args.seed if args.seed is not None else bench.DEFAULT_SEED_BASE

@@ -74,17 +74,29 @@ class GridMode(Enum):
     STRATIFIED_RANDOM = "stratified"
 
 
+class _ParamError(ValueError):
+    """A config rule broken by the fields given as values; ``_checked`` renames them."""
+
+    def __init__(self, rule: str, **values):
+        super().__init__(f"{' + '.join(values)} {rule}, got {' + '.join(map(repr, values.values()))}")
+        self.rule, self.fields = rule, tuple(values)
+
+
 @dataclass(frozen=True)
 class LhsConfig:
     n_tries: int = 10
     n_interchanges: int = 100
-    bin_placement: BinPlacement = BinPlacement.RANDOM_IN_BIN
+    bin_placement: BinPlacement = BinPlacement.RANDOM_IN_BIN  # or its value, "random"/"center"
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "bin_placement", BinPlacement(self.bin_placement))
+        except ValueError:
+            raise _ParamError("must be 'random' or 'center'", bin_placement=self.bin_placement) from None
         if self.n_tries < 1:
-            raise ValueError("n_tries must be >= 1")
+            raise _ParamError("must be >= 1", n_tries=self.n_tries)
         if self.n_interchanges < 0:
-            raise ValueError("n_interchanges must be >= 0")
+            raise _ParamError("must be >= 0", n_interchanges=self.n_interchanges)
 
 
 @dataclass(frozen=True)
@@ -101,16 +113,18 @@ class CvtConfig:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if self.n_iter < 1 or self.ppi < 1:
-            raise ValueError("n_iter and ppi must be >= 1")
-        if not (self.alpha2 > 0 and self.beta2 > 0):
-            raise ValueError("alpha2 and beta2 must be positive")
+        for name in ("n_iter", "ppi"):
+            if getattr(self, name) < 1:
+                raise _ParamError("must be >= 1", **{name: getattr(self, name)})
+        for name in ("alpha2", "beta2"):
+            if not getattr(self, name) > 0:
+                raise _ParamError("must be positive", **{name: getattr(self, name)})
         if abs(self.alpha1 + self.alpha2 - 1.0) > 1e-12:
-            raise ValueError("alpha1 + alpha2 must equal 1")
+            raise _ParamError("must equal 1", alpha1=self.alpha1, alpha2=self.alpha2)
         if abs(self.beta1 + self.beta2 - 1.0) > 1e-12:
-            raise ValueError("beta1 + beta2 must equal 1")
+            raise _ParamError("must equal 1", beta1=self.beta1, beta2=self.beta2)
         if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be nonnegative")
+            raise _ParamError("must be nonnegative", convergence_tol=self.convergence_tol)
 
 
 @dataclass(frozen=True)
@@ -120,9 +134,9 @@ class PoissonConfig:
 
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+            raise _ParamError("must be positive and finite", radius=self.radius)
         if self.n_cand < 1:
-            raise ValueError("n_cand must be >= 1")
+            raise _ParamError("must be >= 1", n_cand=self.n_cand)
 
 
 @dataclass(frozen=True)
@@ -144,7 +158,7 @@ class FpConfig:
         for name in ("scale", "n_cand_fixed", "max_cand", "refresh_count"):
             v = getattr(self, name)
             if v is not None and v < 1:
-                raise ValueError(f"{name} must be >= 1 when set")
+                raise _ParamError("must be >= 1", **{name: v})
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +338,26 @@ def random_sampling(domain: Domain, n: int, rng: RngState) -> SampleSet:
     return SampleSet(domain, domain.from_unit(_draw_unit_batch(rng, domain, n)))
 
 
-def grid_sampling(domain: Domain, bins_per_dim, mode: GridMode, rng: RngState) -> SampleSet:
-    """One point per cell of a regular grid: cell centers (CORNERS mode) or
-    one uniform point per cell (STRATIFIED_RANDOM).  N = prod(bins)."""
+def _bin_counts(bins_per_dim) -> list:
+    """The bin counts of a grid, one or one per dimension, each >= 1."""
     # Entries stay Python objects until the cap check, so a whole number
     # beyond int64 is counted, not mistaken for a non-integer.
     entries = np.asarray(bins_per_dim, dtype=object).reshape(-1)
     if not all(_is_number(b, True) for b in entries):
         raise ValueError(f"bins_per_dim entries must be integers, got {bins_per_dim!r}")
-    counts = [int(b) for b in entries]
+    if any(b < 1 for b in entries):
+        raise _ParamError("must be >= 1", bins_per_dim=bins_per_dim)
+    return [int(b) for b in entries]
+
+
+def grid_sampling(domain: Domain, bins_per_dim, mode: GridMode, rng: RngState) -> SampleSet:
+    """One point per cell of a regular grid: cell centers (CORNERS mode) or
+    one uniform point per cell (STRATIFIED_RANDOM).  N = prod(bins)."""
+    counts = _bin_counts(bins_per_dim)
     if len(counts) == 1:
         counts *= domain.dim
     if len(counts) != domain.dim:
         raise ValueError(f"bins_per_dim must have length {domain.dim}")
-    if min(counts) < 1:
-        raise ValueError("bins_per_dim entries must be positive")
     n_cells = math.prod(counts)
     if n_cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {n_cells} cells exceeds the maximum {MAX_GRID_CELLS}")
@@ -851,23 +870,27 @@ def hybrid_bc_fp(domain: Domain, n: int, rng: RngState,
 
 # ---------------------------------------------------------------------------
 # Registry: algorithm ids shared by the CLI, the benchmark harness, and the
-# adaptation toolkit, with the parameter defaults of the quantitative
-# comparison.
+# adaptation toolkit.  Per id, the config its parameters build, and per
+# parameter its default in the quantitative comparison and the config field
+# it sets.
 # ---------------------------------------------------------------------------
 
-TABLE_DEFAULTS = {
-    "random": {},
-    "grid": {"bins": 10},
-    "stratified": {"bins": 10},
-    "lhs-basic": {"placement": "random"},
-    "lhs-maximin": {"ntries": 10, "ninterchanges": 100, "placement": "random"},
-    "cvt": {"niter": 100, "ppi": 10_000, "alpha1": 0.0, "alpha2": 1.0,
-            "beta1": 0.0, "beta2": 1.0, "tol": 1e-6},
-    "poisson": {"r": 0.08, "ncand": 30},
-    "greedyfp": {"scale": 10},
-    "bc": {"ncand": 250},
-    "hybrid": {"scale": 10, "refresh": 100},
+_PARAMS = {
+    "random": (FpConfig, {}),
+    "grid": (_bin_counts, {"bins": (10, "bins_per_dim")}),
+    "stratified": (_bin_counts, {"bins": (10, "bins_per_dim")}),
+    "lhs-basic": (LhsConfig, {"placement": ("random", "bin_placement")}),
+    "lhs-maximin": (LhsConfig, {"ntries": (10, "n_tries"), "ninterchanges": (100, "n_interchanges"),
+                                "placement": ("random", "bin_placement")}),
+    "cvt": (CvtConfig, {"niter": (100, "n_iter"), "ppi": (10_000, "ppi"), "alpha1": (0.0, "alpha1"),
+                        "alpha2": (1.0, "alpha2"), "beta1": (0.0, "beta1"), "beta2": (1.0, "beta2"),
+                        "tol": (1e-6, "convergence_tol")}),
+    "poisson": (PoissonConfig, {"r": (0.08, "radius"), "ncand": (30, "n_cand")}),
+    "greedyfp": (FpConfig, {"scale": (10, "scale")}),
+    "bc": (FpConfig, {"ncand": (250, "n_cand_fixed")}),
+    "hybrid": (FpConfig, {"scale": (10, "scale"), "refresh": (100, "refresh_count")}),
 }
+TABLE_DEFAULTS = {algo: {key: d for key, (d, _) in spec.items()} for algo, (_, spec) in _PARAMS.items()}
 
 # The rules of ``_checked``; the value of _NO_COUNT names what sets the count.
 _NO_COUNT = {"poisson": "a radius", "grid": "bins", "stratified": "bins"}
@@ -875,12 +898,13 @@ INCREMENTAL_ALGORITHMS = ("random", "greedyfp", "bc", "hybrid")
 _VIABLE = INCREMENTAL_ALGORITHMS + ("cvt", "poisson")
 
 
-def _checked(algorithm: str, params, n, domain: Optional[Domain] = None, existing=None) -> dict:
-    """The algorithm's parameters merged over its defaults, returned only
-    when every algorithm-id rule holds; ValueError before anything is drawn
-    otherwise (see ``generate``)."""
-    if algorithm not in TABLE_DEFAULTS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(TABLE_DEFAULTS)}")
+def _checked(algorithm: str, params, n, domain: Optional[Domain] = None, existing=None):
+    """The config of the algorithm's parameters merged over their defaults
+    (bin counts for grid and stratified), once every id and range rule
+    holds; ValueError before anything is drawn otherwise (see ``generate``)."""
+    if algorithm not in _PARAMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(_PARAMS)}")
+    build, spec = _PARAMS[algorithm]
     merged = dict(TABLE_DEFAULTS[algorithm])
     for key, value in (params or {}).items():
         if key not in merged:
@@ -893,6 +917,7 @@ def _checked(algorithm: str, params, n, domain: Optional[Domain] = None, existin
                 kind = "an integer" if integer else "a finite number"
                 raise ValueError(f"parameter {key!r} of algorithm {algorithm!r} must be {kind}, "
                                  f"got {value!r}")
+            value = value if many else type(default)(value)
         merged[key] = value
     if algorithm in _NO_COUNT:
         if n is not None:
@@ -905,7 +930,12 @@ def _checked(algorithm: str, params, n, domain: Optional[Domain] = None, existin
         raise ValueError(f"algorithm {algorithm!r} does not support existing points")
     if domain is not None and domain.viability is not None and algorithm not in _VIABLE:
         raise ValueError(f"algorithm {algorithm!r} does not support a viability predicate")
-    return merged
+    try:
+        return build(**{field: merged[key] for key, (_, field) in spec.items()})
+    except _ParamError as err:
+        keys = [key for field in err.fields for key, (_, f) in spec.items() if f == field]
+        raise ValueError(f"parameter {' + '.join(map(repr, keys))} of algorithm {algorithm!r} "
+                         f"{err.rule}, got {' + '.join(repr(merged[k]) for k in keys)}") from None
 
 
 def _is_number(v, integer: bool) -> bool:
@@ -919,24 +949,6 @@ def _is_number(v, integer: bool) -> bool:
     return math.isfinite(v) and (not integer or float(v).is_integer())
 
 
-def _placement(name) -> BinPlacement:
-    if isinstance(name, BinPlacement):
-        return name
-    try:
-        return BinPlacement(name)
-    except ValueError:
-        raise ValueError(f"placement must be 'random' or 'center', got {name!r}") from None
-
-
-def _fp_config(algorithm: str, p: dict) -> FpConfig:
-    """The FpConfig of a farthest-point algorithm id, from merged params."""
-    if algorithm == "greedyfp":
-        return FpConfig(scale=int(p["scale"]))
-    if algorithm == "bc":
-        return FpConfig(n_cand_fixed=int(p["ncand"]))
-    return FpConfig(scale=int(p["scale"]), refresh_count=int(p["refresh"]))
-
-
 def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
              params: Optional[dict] = None, existing: Optional[SampleSet] = None) -> SampleSet:
     """Dispatch by algorithm id, filling missing parameters from the
@@ -945,44 +957,38 @@ def generate(algorithm: str, domain: Domain, n: Optional[int], rng: RngState,
     The rules below are checked before anything is drawn; a call that
     breaks one raises ValueError and leaves rng untouched.  The algorithm
     and parameter names must be known, a parameter whose default is an int
-    takes an integer (bins also a list of them), and one whose default is
-    a float takes a finite number.  ``n`` is None for poisson, grid and
-    stratified (r and bins set their counts) and >= 1 for the others.  Only
-    random, greedyfp, bc and hybrid take ``existing``, even an empty set,
-    and return it as a frozen prefix.  A viability predicate goes only to
-    those four, cvt and poisson.  A density weights greedyfp, bc, hybrid and
-    cvt; the other algorithms ignore it.
+    takes an integer (bins also a list of them), one whose default is a
+    float a finite number, and each its config's range.  ``n`` is None for
+    poisson, grid and stratified (r and bins set their counts) and >= 1 for
+    the others.  Only random, greedyfp, bc and hybrid take ``existing``,
+    even an empty set, and return it as a frozen prefix.  A viability
+    predicate goes only to those four, cvt and poisson.  A density weights
+    greedyfp, bc, hybrid and cvt; the other algorithms ignore it.
     """
-    p = _checked(algorithm, params, n, domain, existing)
+    config = _checked(algorithm, params, n, domain, existing)
     if algorithm == "poisson":
-        return poisson_disk(domain, PoissonConfig(radius=float(p["r"]), n_cand=int(p["ncand"])), rng)
+        return poisson_disk(domain, config, rng)
     if algorithm in INCREMENTAL_ALGORITHMS:
-        new_unit = _new_points(algorithm, rng, domain, n, p, _existing_unit(domain, existing))
+        new_unit = _new_points(algorithm, rng, domain, n, config, _existing_unit(domain, existing))
         return _assemble(domain, existing, new_unit)
     if algorithm in ("grid", "stratified"):
         mode = GridMode.CORNERS if algorithm == "grid" else GridMode.STRATIFIED_RANDOM
-        return grid_sampling(domain, p["bins"], mode, rng)
+        return grid_sampling(domain, config, mode, rng)
     if algorithm == "lhs-basic":
-        return lhs_basic(domain, n, rng, _placement(p["placement"]))
+        return lhs_basic(domain, n, rng, config.bin_placement)
     if algorithm == "lhs-maximin":
-        cfg = LhsConfig(n_tries=int(p["ntries"]), n_interchanges=int(p["ninterchanges"]),
-                        bin_placement=_placement(p["placement"]))
-        return lhs_maximin(domain, n, rng, cfg)
-    cfg = CvtConfig(n_iter=int(p["niter"]), ppi=int(p["ppi"]),
-                    alpha1=float(p["alpha1"]), alpha2=float(p["alpha2"]),
-                    beta1=float(p["beta1"]), beta2=float(p["beta2"]),
-                    convergence_tol=float(p["tol"]))
-    return cvt_sampling(domain, n, rng, cfg)
+        return lhs_maximin(domain, n, rng, config)
+    return cvt_sampling(domain, n, rng, config)
 
 
-def _new_points(algorithm: str, rng: RngState, domain: Domain, n: int, p: dict,
+def _new_points(algorithm: str, rng: RngState, domain: Domain, n: int, config: FpConfig,
                 exist_u: np.ndarray) -> np.ndarray:
     """n new unit points of an incremental algorithm id, scored against the
-    existing unit points; p is the merged parameters ``_checked`` returns."""
+    existing unit points; config is the one ``_checked`` returns."""
     if algorithm == "random":
         return _draw_unit_batch(rng, domain, n)
     core = _bc_new if algorithm == "bc" else _greedy_new
-    return core(rng, domain, n, _fp_config(algorithm, p), exist_u)
+    return core(rng, domain, n, config, exist_u)
 
 
 ALGORITHMS = tuple(TABLE_DEFAULTS)

@@ -178,6 +178,15 @@ class TestIncrementalAdd:
         with pytest.raises(ValueError):
             sf.incremental_add(existing, 5, "lhs-basic", None, RngState(63))
 
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_param_out_of_range_named_before_drawing(self, unit2, m):
+        existing = sf.random_sampling(unit2, 5, RngState(62))
+        rng = RngState(63)
+        with pytest.raises(ValueError, match="^parameter 'scale' of algorithm 'hybrid' "
+                                             "must be >= 1, got 0$"):
+            sf.incremental_add(existing, m, "hybrid", {"scale": 0}, rng)
+        assert rng.random() == RngState(63).random()
+
     def test_bc_onto_200000_points_peak_rss(self):
         """Each BC step scores its 250 candidates against the existing set in
         blocks of at most 2^18 squared distances (one row of 200,000 here), so
@@ -267,6 +276,7 @@ class TestExpandDomain:
         ("bogus", {"zzz": 1}, "unknown algorithm 'bogus'"),
         ("bc", {"zzz": 1}, "unknown parameter 'zzz'"),
         ("lhs-basic", None, "does not support existing points"),
+        ("bc", {"ncand": 0}, "parameter 'ncand'"),
     ])
     def test_id_rules_checked_when_nothing_is_drawn(self, unit2, new_upper, algorithm,
                                                     params, message):

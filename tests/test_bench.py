@@ -81,9 +81,18 @@ class TestRunExperiment:
         assert s1 != cell_seed(99, "bc", 1)
         assert s1 != cell_seed(99, "random", 0)
 
-    def test_failing_cell_recorded_not_fatal(self):
-        spec = tiny_spec(methods=[("bc", {"ncand": -5}), ("random", {})])
-        report = run_experiment(spec)
+    def test_failing_cell_recorded_not_fatal(self, monkeypatch):
+        # A parameter out of range fails the spec, so a cell fails at run time.
+        with pytest.raises(ValueError, match="parameter 'ncand'"):
+            tiny_spec(methods=[("bc", {"ncand": -5})])
+        real = bench.generate
+
+        def failing(method, *args):
+            if method == "bc":
+                raise RuntimeError("cell failed")
+            return real(method, *args)
+        monkeypatch.setattr(bench, "generate", failing)
+        report = run_experiment(tiny_spec(methods=[("bc", {"ncand": 5}), ("random", {})]))
         assert len(report.failures) == 2  # both reps of the bad method
         assert {f["method"] for f in report.failures} == {"bc"}
         assert any(r["method"] == "random" for r in report.rows)

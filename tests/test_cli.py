@@ -144,7 +144,9 @@ class TestGenerate:
         ({"domain": {"lower": 5}}, "config domain lower must be a list of numbers"),
         ({"params": [1, 2]}, "config params must be an object"),
         ({"n": [3]}, "config n must be an integer"),
-    ], ids=["lower", "params", "n"])
+        ({"algorithm": "bc", "params": {"ncand": [5]}},
+         "parameter 'ncand' of algorithm 'bc' must be an integer, got [5]"),
+    ], ids=["lower", "params", "n", "param-value"])
     def test_config_value_type_exit_2(self, tmp_path, capsys, entry, message):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"algorithm": "random", "dim": 2, "n": 3, "seed": 1, **entry}))
@@ -198,8 +200,9 @@ class TestJsonFiles:
 
 
 class TestParamValues:
-    """A parameter value of the wrong kind fails before anything is drawn:
-    exit 2, one line naming the parameter, and nothing on stdout."""
+    """A parameter value of the wrong kind or out of range fails before
+    anything is drawn: exit 2, one line naming the parameter, and nothing
+    on stdout."""
 
     @pytest.mark.parametrize("algo,n,entry,message", [
         ("bc", "5", "ncand=2.5", "'ncand' of algorithm 'bc' must be an integer, got 2.5"),
@@ -215,8 +218,11 @@ class TestParamValues:
          "'alpha1' of algorithm 'cvt' must be a finite number, got nan"),
         ("poisson", None, "r=inf", "'r' of algorithm 'poisson' must be a finite number, got inf"),
         ("bc", "5", "ncand=abc", "'ncand' of algorithm 'bc' must be an integer, got 'abc'"),
+        ("bc", "5", "ncand=0", "'ncand' of algorithm 'bc' must be >= 1, got 0"),
+        ("lhs-maximin", "5", "placement=middle",
+         "'placement' of algorithm 'lhs-maximin' must be 'random' or 'center', got 'middle'"),
     ], ids=["ncand", "refresh", "ntries", "grid-bins", "stratified-bins", "tol", "alpha1",
-            "r", "ncand-text"])
+            "r", "ncand-text", "ncand-range", "placement"])
     def test_rejected(self, capsys, algo, n, entry, message):
         count = [] if n is None else ["--n", n]
         code, out, err = run_out(capsys, "generate", "--algo", algo, "--dim", "2", "--seed", "1",
@@ -472,7 +478,7 @@ _SPEC_FAULTS = {
     "latinizeVariants": ["no", 1, 0, None],
     "name": ["", ".", "..", "a/b", "../escaped", 5, None],
     "methods": [[], "bc", [["bc"]], [["bogus", {}]], [["poisson", {}]], [["bc", {"scale": 3}]],
-                [["bc", {"ncand": 2.5}]]],
+                [["bc", {"ncand": 2.5}]], [["bc", {"ncand": 0}]], [["cvt", {"tol": -1}]]],
     "schemaVersion": [2, "1"],
     "experiments": [[], {}, "e0"],
     "unknown": [1],
@@ -861,6 +867,12 @@ class TestSubset:
             assert hashlib.sha256(out.encode()).hexdigest() == (
                 "7c8a889611e370f7cb379f5a7edea1a5dc3ce6f7888c21ad8562be1e848b75d3")
 
+    @pytest.mark.parametrize("total", ["0", "-5"])
+    def test_total_below_1_exit_2(self, big_csv, capsys, total):
+        got = run_out(capsys, "subset", "--in", str(big_csv), "--n", "50", "--segment", "100",
+                      "--total", total, "--seed", "1")
+        assert got == (2, "", "spacefill: --total must be >= 1\n")
+
     def test_stdin_matches_file(self, big_csv, tmp_path, monkeypatch):
         argv = ["subset", "--n", "30", "--segment", "400", "--total", "3000", "--seed", "2"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1238,8 +1250,12 @@ class TestExpand:
          "--lower must have 2 entries"),
         (["--new-lower", "nan,0", "--new-upper", "2,2"], "--new-lower must be finite"),
         (["--upper", "inf", "--new-lower", "0,0", "--new-upper", "2,2"], "--upper must be finite"),
+        (["--new-lower", "0,0", "--new-upper", "2,2", "--add", "3", "--params", "ncand=0"],
+         "parameter 'ncand' of algorithm 'bc' must be >= 1, got 0"),
+        (["--new-lower", "0,0", "--new-upper", "0.5,0.5", "--params", "ncand=0"],
+         "parameter 'ncand' of algorithm 'bc' must be >= 1, got 0"),
     ], ids=["outside-old-box", "disjoint", "bad-param", "new-lower-length", "new-upper-text",
-            "lower-length", "new-lower-nan", "upper-inf"])
+            "lower-length", "new-lower-nan", "upper-inf", "param-range", "shrink-param-range"])
     def test_invalid_request_exit_2(self, tmp_path, capsys, flags, message):
         src = tmp_path / "s.csv"
         src.write_text("x0,x1\n0.25,0.75\n0.5,0.5\n")
@@ -1480,7 +1496,8 @@ class TestBench:
         assert "Random" in out  # table echoed to stdout
 
     @pytest.mark.parametrize("reps, code, message", [
-        (1, 0, ""), (-1, 2, "spacefill: repetitions must be >= 1\n")])
+        (1, 0, ""), (0, 2, "spacefill: repetitions must be >= 1\n"),
+        (-1, 2, "spacefill: repetitions must be >= 1\n")])
     def test_reps_override_on_spec(self, tmp_path, capsys, reps, code, message):
         spec = {"name": "mini", "dim": 2, "nSamples": 10, "repetitions": 3,
                 "methods": [["bc", {"ncand": 5}]], "latinizeVariants": False, "seedBase": 5}
@@ -1533,6 +1550,14 @@ class TestBench:
         assert files == ["10d-1000.json", "2d-500.json", "4d-1000.json", "4d-500.json"]
         # table output carries the five method rows per experiment
         assert out.count("GreedyFP") == 4
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_paper_suite_rejects_reps_below_1(self, tmp_path, capsys, reps):
+        out_dir = tmp_path / "reports"
+        got = run_out(capsys, "bench", "--suite", "paper", "--reps-override", reps,
+                      "--out", str(out_dir))
+        assert got == (2, "", "spacefill: repetitions must be >= 1\n")
+        assert not out_dir.exists()
 
 
 class TestPlot:

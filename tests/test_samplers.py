@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 import spacefill as sf
-from spacefill import samplers
+from spacefill import bench, samplers
 from spacefill.core import Domain, RegionTooSmallError, RngState, SampleSet, SamplingError, _outside
 from spacefill.samplers import (
     BinPlacement,
@@ -269,7 +271,8 @@ class TestEmptyViableRegion:
 
 
 class TestParamValues:
-    """Parameter values of the wrong kind raise before anything is drawn."""
+    """Parameter values of the wrong kind or out of range raise before
+    anything is drawn."""
 
     @pytest.mark.parametrize("algo,n,params,message", [
         ("bc", 5, {"ncand": 2.5}, "'ncand' of algorithm 'bc' must be an integer, got 2.5"),
@@ -279,12 +282,41 @@ class TestParamValues:
         ("cvt", 5, {"alpha1": math.nan}, "'alpha1' of algorithm 'cvt' must be a finite number"),
         ("poisson", None, {"r": math.inf}, "'r' of algorithm 'poisson' must be a finite number"),
         ("poisson", None, {"r": 10 ** 400}, "'r' of algorithm 'poisson' must be a finite number"),
+        # Range faults, raised by the configs, named by the user's parameter.
+        ("lhs-maximin", 5, {"ntries": 0}, "'ntries' of algorithm 'lhs-maximin' must be >= 1, got 0"),
+        ("lhs-maximin", 5, {"ninterchanges": -1},
+         "'ninterchanges' of algorithm 'lhs-maximin' must be >= 0, got -1"),
+        ("cvt", 5, {"niter": 0}, "'niter' of algorithm 'cvt' must be >= 1, got 0"),
+        ("cvt", 5, {"ppi": 0}, "'ppi' of algorithm 'cvt' must be >= 1, got 0"),
+        ("cvt", 5, {"tol": -1}, "'tol' of algorithm 'cvt' must be nonnegative, got -1.0"),
+        ("cvt", 5, {"alpha2": 0}, "'alpha2' of algorithm 'cvt' must be positive, got 0.0"),
+        ("cvt", 5, {"beta1": 0.5}, "'beta1' + 'beta2' of algorithm 'cvt' must equal 1, got 0.5 + 1.0"),
+        ("poisson", None, {"r": 0}, "'r' of algorithm 'poisson' must be positive and finite, got 0.0"),
+        ("poisson", None, {"ncand": 0}, "'ncand' of algorithm 'poisson' must be >= 1, got 0"),
+        ("bc", 5, {"ncand": 0}, "'ncand' of algorithm 'bc' must be >= 1, got 0"),
+        ("greedyfp", 5, {"scale": 0}, "'scale' of algorithm 'greedyfp' must be >= 1, got 0"),
+        ("hybrid", 5, {"refresh": 0}, "'refresh' of algorithm 'hybrid' must be >= 1, got 0"),
+        ("grid", None, {"bins": 0}, "'bins' of algorithm 'grid' must be >= 1, got 0"),
+        ("stratified", None, {"bins": [3, 0]}, "'bins' of algorithm 'stratified' must be >= 1, got [3, 0]"),
+        ("lhs-basic", 5, {"placement": "middle"},
+         "'placement' of algorithm 'lhs-basic' must be 'random' or 'center', got 'middle'"),
     ])
     def test_generate_leaves_rng_untouched(self, algo, n, params, message):
         rng = RngState(9)
-        with pytest.raises(ValueError, match=f"^parameter {message}"):
+        with pytest.raises(ValueError, match="^parameter " + re.escape(message)):
             generate(algo, Domain.unit(2), n, rng, params)
         assert rng.random() == RngState(9).random()
+
+    def test_table_defaults_match_signature_defaults(self):
+        """The table's defaults build the configs the samplers default to,
+        and the comparison's method parameters are the table's defaults."""
+        for algo, sampler in [("greedyfp", sf.greedy_fp), ("bc", sf.best_candidate),
+                              ("hybrid", sf.hybrid_bc_fp), ("lhs-maximin", sf.lhs_maximin),
+                              ("cvt", sf.cvt_sampling)]:
+            default = inspect.signature(sampler).parameters["config"].default
+            assert samplers._checked(algo, None, 1) == default, algo
+        for method, params in bench.COMPARISON_METHODS:
+            assert params == {key: samplers.TABLE_DEFAULTS[method][key] for key in params}
 
     def test_integral_values_accepted(self):
         def out(algo, n, params):
