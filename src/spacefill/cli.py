@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -37,17 +38,172 @@ class CliError(Exception):
 # CSV sample format
 # ---------------------------------------------------------------------------
 
+_WRITE_ROWS = 1024
+_X_MIN, _X_MAX = -4, 7  # decimal exponents of the values _text_cells writes
+
+
 def write_samples(points: np.ndarray, out) -> None:
+    """Write the header and one row per point, each value as its "%.17g"
+    text: 17 significant digits, which round-trip every double.
+
+    Rows go out 1,024 at a time.  Each value of a block gets a 32-byte cell
+    of text bytes padded with NULs, and one ``bytes.translate`` deletes the
+    padding.  The cells of ±0 and of the values with 1e-4 <= |v| < 1e8, whose
+    text is fixed notation, are built from their exact decimal digits (see
+    ``_text_cells``).  Any other value's cell holds the conversion "%.17g",
+    and one % over the block's text formats those values in place.
+    """
+    points = np.asarray(points, dtype=np.float64)
     dim = points.shape[1]
-    out.write(",".join(f"x{j}" for j in range(dim)) + "\n")
-    # "%.17g" % v formats a float exactly as f"{v:.17g}" does: 17 significant
-    # digits, which round-trip every double.
-    # A block of 1024 rows becomes Python floats and text in one % call,
-    # which bounds the memory.
-    row_format = ",".join(["%.17g"] * dim) + "\n"
-    for start in range(0, points.shape[0], 1024):
-        block = points[start:start + 1024]
-        out.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+    # Each cell starts with the separator before its value, so the header's
+    # line ends with the first row's cell and the last row's with the final write.
+    out.write(",".join(f"x{j}" for j in range(dim)))
+    if points.size:
+        tables = _write_tables()
+        sep = np.full(min(len(points), _WRITE_ROWS) * dim, ord(","), dtype=np.uint8)
+        sep[::dim] = ord("\n")
+        for start in range(0, points.shape[0], _WRITE_ROWS):
+            v = points[start:start + _WRITE_ROWS].ravel()
+            a = np.abs(v)
+            fixed = (a >= 1e-4) & (a < 1e8)
+            if fixed.all():
+                cells, rest = _text_cells(v, tables), ()
+            else:
+                zero = a == 0
+                cells = np.zeros((v.size, 4), dtype=np.uint64)
+                cells[:, 0] = np.where(zero, tables["zero"][np.signbit(v).view(np.uint8)],
+                                       tables["conversion"])
+                at = np.flatnonzero(fixed)
+                if at.size:
+                    cells[at] = _text_cells(v[at], tables)
+                rest = tuple(v[~(fixed | zero)].tolist())
+            cells.view(np.uint8)[:, 0] = sep[:v.size]
+            text = cells.tobytes().translate(None, b"\0").decode()
+            out.write(text % rest if rest else text)
+    out.write("\n")
+
+
+@functools.cache
+def _write_tables() -> dict:
+    """The writer's tables by name, built at its first call.  A cell is four
+    64-bit words of text bytes: separator, sign, the "0.000" of a negative
+    exponent and the first digit; digits 1-8, each after a slot that holds
+    the point when it follows the digit before; then digits 9-16."""
+    def packed(rows, dtype=np.uint64):
+        """Byte rows viewed as dtype words, read-only."""
+        out = np.ascontiguousarray(rows, dtype=np.uint8).view(dtype)
+        out.flags.writeable = False
+        return out
+
+    # The four digits of each chunk 0..9999, and a second form that drops
+    # the trailing zeros, for the last chunk with a nonzero digit.
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    trailing = np.cumprod(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1].astype(bool)
+    fours = np.concatenate([digits, np.where(trailing, 0, digits)])
+    interleaved = np.zeros((20_000, 8), dtype=np.uint8)
+    interleaved[:, 1::2] = fours
+    # Per (exponent x, fraction all zero): the "0.000" prefix of x < 0, the
+    # point in the slot after digit x >= 0 unless the fraction is all zero,
+    # and a "0" for each integer digit 1..x, which is OR-ed into the digits
+    # and so restores zeros that the stripped chunk forms dropped.
+    template = []
+    for x in range(_X_MIN, _X_MAX + 1):
+        for empty in (False, True):
+            cell = bytearray(32)
+            if x < 0:
+                cell[2:3 - x] = b"0." + b"0" * (-x - 1)
+            else:
+                cell[9:8 + 2 * x:2] = b"0" * x
+                if not empty:
+                    cell[8 + 2 * x] = ord(".")
+            template.append(list(cell))
+    return {
+        "pow5": np.array([5 ** k for k in range(22)], dtype=np.uint64),
+        "pow10": np.array([10 ** k for k in range(18)], dtype=np.uint64),
+        "template": packed(template), "chunk8": packed(interleaved)[:, 0],
+        "chunk4": packed(fours, np.uint32)[:, 0],
+        "zero": packed([list(b"\0\0\0\0\0\0\0" b"0"), list(b"\0-\0\0\0\0\0" b"0")])[:, 0],
+        "conversion": packed([list(b"\0%.17g\0\0")])[0, 0]}
+
+
+def _text_cells(v: np.ndarray, tables: dict) -> np.ndarray:
+    """The (n, 4) uint64 cells of values with 1e-4 <= |v| < 1e8, whose
+    "%.17g" text is fixed notation, separator byte left 0.
+
+    The text is sign, integer part, point and fraction, with the fraction's
+    trailing zeros dropped and the point with them when none is left.  Its 17
+    significant digits D are found exactly, in integers: v = m * 2**q with m
+    the 53-bit mantissa, X is v's decimal exponent after rounding, and D =
+    round-half-even(v * 10**(16 - X)), with the ties of "%.17g".
+    """
+    d, x = _decimal_digits(np.abs(v), tables["pow5"])
+    hi = d // np.uint64(10 ** 8)
+    lo = (d - hi * np.uint64(10 ** 8)).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    lead = hi // np.uint32(10 ** 8)
+    c12 = hi - lead * np.uint32(10 ** 8)
+    c1 = c12 // np.uint32(10 ** 4)
+    c2 = c12 - c1 * np.uint32(10 ** 4)
+    c3 = lo // np.uint32(10 ** 4)
+    c4 = lo - c3 * np.uint32(10 ** 4)
+    # Chunk i takes its stripped form when every chunk after it is zero.
+    z4 = c4 == 0
+    z3 = z4 & (c3 == 0)
+    z2 = z3 & (c2 == 0)
+    # No nonzero fraction digit; a negative x takes 10**17 > D.
+    empty = d % np.take(tables["pow10"], 16 - x, mode="clip") == 0
+    cells = np.take(tables["template"], 2 * (x - _X_MIN) + empty, axis=0)
+    cells[:, 1] |= np.take(tables["chunk8"], c1 + 10_000 * z2)
+    cells[:, 2] |= np.take(tables["chunk8"], c2 + 10_000 * z3)
+    quads = cells.view(np.uint32)
+    quads[:, 6] = np.take(tables["chunk4"], c3 + 10_000 * z4)
+    quads[:, 7] = np.take(tables["chunk4"], c4 + 10_000)
+    chars = cells.view(np.uint8)
+    chars[:, 1] = np.signbit(v) * np.uint8(ord("-"))
+    chars[:, 7] = lead + np.uint32(ord("0"))
+    return cells
+
+
+def _decimal_digits(a: np.ndarray, pow5: np.ndarray):
+    """(D, X) of positive doubles a, 1e-4 <= a < 1e8: the decimal exponent X
+    of a rounded to 17 significant digits, and those digits as the integer
+    D, 10**16 <= D < 10**17 (Steele & White 1990; Gay 1990)."""
+    f, e = np.frexp(a)
+    m = (f * 2.0 ** 53).astype(np.uint64)
+    # The estimate is X or one less, never more: log10 errs by far less
+    # than the bias.  One less shows as D > 10**17, and is computed again.
+    x = np.floor(np.log10(a) - 1e-12).astype(np.int64)
+    d = _round_digits(m, e, x, pow5)
+    low = np.flatnonzero(d > 10 ** 17)
+    if low.size:
+        x[low] += 1
+        d[low] = _round_digits(m[low], e[low], x[low], pow5)
+    # D = 10**17 is a carry into the next decade: its 17 digits are 10**16.
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    x += carry
+    return d, x
+
+
+def _round_digits(m, e, x, pow5):
+    """round-half-even(m * 2**(e - 53) * 10**k) with k = 16 - x, as
+    m * 5**k / 2**s with s = 37 - e + x, which lies in [16, 46] here."""
+    s = (37 - e + x).astype(np.uint64)
+    b = np.take(pow5, 16 - x)
+    # m * 5**k < 2**102 in two 64-bit limbs, from products of 32-bit halves.
+    low32 = np.uint64(0xFFFF_FFFF)
+    a0, a1 = m & low32, m >> np.uint64(32)
+    b0, b1 = b & low32, b >> np.uint64(32)
+    p00 = a0 * b0
+    mid = a0 * b1 + a1 * b0
+    lo = p00 + (mid << np.uint64(32))
+    hi = a1 * b1 + (mid >> np.uint64(32)) + (lo < p00)  # lo < p00: the low limb carried
+    one = np.uint64(1)
+    d = (hi << (np.uint64(64) - s)) | (lo >> s)
+    rem = lo & ((one << s) - one)
+    half = one << (s - one)
+    d += (rem > half) | ((rem == half) & (d & one).astype(bool))
+    return d
 
 
 def _parse_data_line(line: str, lineno: int, dim) -> np.ndarray:
@@ -431,12 +587,13 @@ def cmd_latinize(args) -> int:
 
 
 def cmd_subset(args) -> int:
+    for flag, value in (("--n", args.n), ("--segment", args.segment), ("--total", args.total)):
+        if value is not None and value < 1:
+            raise CliError(f"{flag} must be >= 1")
     seed = _resolve_seed(args)
-    config = adapt.StreamConfig(segment_size=args.segment, subset_size=args.n)
     if args.infile == "-" and args.total is None:
         raise CliError("subset from stdin requires --total (stream size unknown)")
-    if args.total is not None and args.total < 1:
-        raise CliError("--total must be >= 1")
+    config = adapt.StreamConfig(segment_size=args.segment, subset_size=args.n)
     with CsvRecordStream(args.infile) as stream:
         total = int(args.total) if args.total is not None else stream.estimate_total
         result = adapt.stream_subset(stream, config, RngState(seed), total_records=total)
@@ -461,6 +618,10 @@ def cmd_expand(args) -> int:
 
 
 def cmd_append_region(args) -> int:
+    if not args.halfwidth > 0:  # nan included
+        raise CliError("--halfwidth must be positive")
+    if args.cands_per_anchor < 1:
+        raise CliError("--cands-per-anchor must be >= 1")
     seed = _resolve_seed(args)
     pts = read_samples(args.anchors)
     domain = _build_domain(pts.shape[1], args.lower, args.upper, None, None)

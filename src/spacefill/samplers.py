@@ -901,7 +901,9 @@ _VIABLE = INCREMENTAL_ALGORITHMS + ("cvt", "poisson")
 def _checked(algorithm: str, params, n, domain: Optional[Domain] = None, existing=None):
     """The config of the algorithm's parameters merged over their defaults
     (bin counts for grid and stratified), once every id and range rule
-    holds; ValueError before anything is drawn otherwise (see ``generate``)."""
+    holds, and given a domain, once the bin counts fit its dimension and
+    MAX_GRID_CELLS; ValueError before anything is drawn otherwise (see
+    ``generate``)."""
     if algorithm not in _PARAMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(_PARAMS)}")
     build, spec = _PARAMS[algorithm]
@@ -931,11 +933,22 @@ def _checked(algorithm: str, params, n, domain: Optional[Domain] = None, existin
     if domain is not None and domain.viability is not None and algorithm not in _VIABLE:
         raise ValueError(f"algorithm {algorithm!r} does not support a viability predicate")
     try:
-        return build(**{field: merged[key] for key, (_, field) in spec.items()})
+        config = build(**{field: merged[key] for key, (_, field) in spec.items()})
     except _ParamError as err:
         keys = [key for field in err.fields for key, (_, f) in spec.items() if f == field]
         raise ValueError(f"parameter {' + '.join(map(repr, keys))} of algorithm {algorithm!r} "
                          f"{err.rule}, got {' + '.join(repr(merged[k]) for k in keys)}") from None
+    if domain is not None and build is _bin_counts:
+        # grid_sampling's own shape and size rules, named by the parameter.
+        name, bins = f"parameter 'bins' of algorithm {algorithm!r}", merged["bins"]
+        if len(config) not in (1, domain.dim):
+            entries = "1 entry" if domain.dim == 1 else f"1 or {domain.dim} entries"
+            raise ValueError(f"{name} must have {entries}, got {bins!r}")
+        n_cells = math.prod(config * domain.dim if len(config) == 1 else config)
+        if n_cells > MAX_GRID_CELLS:
+            raise ValueError(f"{name} must make at most {MAX_GRID_CELLS} cells, "
+                             f"got {bins!r} ({n_cells} cells)")
+    return config
 
 
 def _is_number(v, integer: bool) -> bool:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import warnings
 
@@ -251,7 +252,20 @@ class TestParamValues:
         code, out, err = run_out(capsys, "generate", "--algo", "grid", "--dim", "2", "--seed", "1",
                                  "--params", f"bins={bins}")
         assert (code, out, err) == (
-            2, "", f"spacefill: grid of {bins ** 2} cells exceeds the maximum 10000000\n")
+            2, "", f"spacefill: parameter 'bins' of algorithm 'grid' must make at most 10000000 "
+                   f"cells, got {bins} ({bins ** 2} cells)\n")
+
+    @pytest.mark.parametrize("bins, message", [
+        ([2, 2, 2], "must have 1 or 2 entries, got [2, 2, 2]"),
+        ([5000, 5000], "must make at most 10000000 cells, got [5000, 5000] (25000000 cells)"),
+    ], ids=["length", "cells"])
+    def test_config_bins_exit_2(self, tmp_path, capsys, bins, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"algorithm": "grid", "dim": 2, "seed": 1,
+                                    "params": {"bins": bins}}))
+        code, out, err = run_out(capsys, "generate", "--config", str(path))
+        want = f"spacefill: parameter 'bins' of algorithm 'grid' {message}\n"
+        assert (code, out, err) == (2, "", want)
 
 
 # --params values of the contract test: one of each wrong kind, and values in
@@ -731,6 +745,91 @@ class TestPiping:
         assert out.getvalue() == want
 
 
+def _reference_csv(points) -> str:
+    """Sample CSV text with each value formatted by "%.17g" on its own."""
+    header = ",".join(f"x{j}" for j in range(points.shape[1])) + "\n"
+    return header + "".join(",".join("%.17g" % v for v in row) + "\n" for row in points.tolist())
+
+
+def _written_csv(points) -> str:
+    out = io.StringIO()
+    cli.write_samples(points, out)
+    return out.getvalue()
+
+
+def _near(v, ulps=2):
+    """The doubles within ulps of v on each side, v included."""
+    below, above = [v], [v]
+    for _ in range(ulps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def _ties(rng):
+    """Exact halfway cases of 17 digits: j / 2**m with 18 significant digits,
+    the last a 5, in each decade from 1e-6 to 1e10."""
+    ties = []
+    for x in range(-6, 10):
+        m = 17 - x  # j odd: m fraction digits, the last a 5
+        lo, hi = math.ceil(10.0 ** x * 2 ** m), math.floor(10.0 ** (x + 1) * 2 ** m)
+        ties += [(int(j) | 1) / 2 ** m for j in rng.integers(lo, hi - 1, 250)]
+    return ties
+
+
+# Values the writer must render like "%.17g": every double within 2 ulps of
+# 10**k, both sides of the edges 1e-4 and 1e8 of its digit kernel, exact
+# halfway ties, and ±0, the smallest subnormal, ±max, ±inf and nan.
+_EDGE_VALUES = np.array(
+    [w for k in range(-20, 21) for w in _near(float(f"1e{k}"))]
+    + _near(1e-4, 4) + _near(1e8, 4) + _ties(np.random.default_rng(25))
+    + [0.0, 5e-324, sys.float_info.max, math.inf, math.nan, 1.0, 0.5, 100.0, 1234.5])
+
+
+class TestWriteSamples:
+    """write_samples renders each value as "%.17g" does, byte for byte."""
+
+    def test_ties_are_exact_halfway_cases(self):
+        from decimal import Decimal
+        ties = _ties(np.random.default_rng(25))
+        for v in ties:
+            digits = format(Decimal(v), "e").split("e")[0].replace(".", "")
+            assert len(digits) == 18 and digits.endswith("5"), v
+        # Both ways of rounding a half to even occur.
+        assert {("%.17e" % v)[17] in "02468" for v in ties} == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_edge_values(self, d, n):
+        rng = np.random.default_rng(d * 10_000 + n)
+        values = np.concatenate([_EDGE_VALUES, -_EDGE_VALUES])
+        points = rng.permutation(np.resize(values, max(n * d, values.size)))[:n * d]
+        points = points.reshape(n, d)
+        assert _written_csv(points) == _reference_csv(points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 1023, 1024, 1025]), st.integers(0, 2**63 - 1),
+           st.sampled_from(["any", "kernel", "unit"]))
+    def test_random_bit_patterns(self, d, n, seed, kind):
+        """Finite doubles from random 64-bit patterns: any exponent, or one
+        within a few binades of the kernel's range, or the unit interval."""
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, n * d, dtype=np.uint64, endpoint=False)
+        if kind == "kernel":  # biased exponent of 2**-16 .. 2**30
+            exponent = rng.integers(1023 - 16, 1023 + 30, n * d).astype(np.uint64)
+            bits = (bits & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
+        points = bits.view(np.float64)
+        if kind == "unit":
+            points = rng.random(n * d)
+        points = np.where(np.isfinite(points), points, 0.5).reshape(n, d)
+        assert _written_csv(points) == _reference_csv(points)
+
+    def test_empty_and_other_dtypes(self):
+        assert _written_csv(np.empty((0, 3))) == "x0,x1,x2\n"
+        for points in (np.array([[1, -2], [3, 10**9]]), np.array([[0.1, 3e-7]], dtype=np.float32)):
+            assert _written_csv(points) == _reference_csv(points)
+
+
 class TestScore:
     def test_three_point_file(self, tmp_path, capsys):
         f = tmp_path / "pts.csv"
@@ -872,6 +971,13 @@ class TestSubset:
         got = run_out(capsys, "subset", "--in", str(big_csv), "--n", "50", "--segment", "100",
                       "--total", total, "--seed", "1")
         assert got == (2, "", "spacefill: --total must be >= 1\n")
+
+    @pytest.mark.parametrize("flag", ["--n", "--segment"])
+    def test_size_below_1_exit_2(self, big_csv, capsys, flag):
+        sizes = {"--n": "50", "--segment": "100", flag: "0"}
+        got = run_out(capsys, "subset", "--in", str(big_csv), *itertools.chain(*sizes.items()),
+                      "--seed", "1")
+        assert got == (2, "", f"spacefill: {flag} must be >= 1\n")
 
     def test_stdin_matches_file(self, big_csv, tmp_path, monkeypatch):
         argv = ["subset", "--n", "30", "--segment", "400", "--total", "3000", "--seed", "2"]
@@ -1355,6 +1461,80 @@ class TestExpandContract:
             assert got.tobytes() == rows[keep].tobytes()
 
 
+# --halfwidth texts of the append-region contract test: in range, and out of
+# range or so small that every box collapses.
+_GOOD_HALFWIDTHS = ["0.001", "0.03", "0.5", "2", "inf"]
+_BAD_HALFWIDTHS = ["0", "-1", "nan", "1e-300"]
+
+
+@st.composite
+def append_region_runs(draw):
+    """append-region argv on n <= 50 anchors in d <= 3, and what an exit 0
+    must write.  The box is the default unit box or drawn, and an anchor
+    may lie outside it; --halfwidth, --cands-per-anchor and --n may be out
+    of range."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 50))
+
+    def per_dim(values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=d, max_size=d)))
+
+    unit = draw(st.booleans())
+    lo = np.zeros(d) if unit else per_dim([-1.0, 0.0, 0.25, 1e6])
+    w = np.ones(d) if unit else per_dim([1e-6, 0.5, 1.0, 3.0])
+    hi = lo + w
+    rows = np.minimum(lo + RngState(draw(st.integers(0, 2**32 - 1))).random((n, d)) * w, hi)
+    if draw(st.integers(0, 7)) == 0:
+        rows[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] += 2.0 * w[0]
+    # One value in eight of each flag is out of range.
+    per_anchor = draw(st.sampled_from([1, 3, 20])) if draw(st.integers(0, 7)) else 0
+    total = n * per_anchor
+    picks = (draw(st.integers(1, min(total, 60))) if total and draw(st.integers(0, 7))
+             else draw(st.sampled_from([0, total + 1])))
+    halfwidth = draw(st.sampled_from(_GOOD_HALFWIDTHS if draw(st.integers(0, 7))
+                                     else _BAD_HALFWIDTHS))
+    argv = ["append-region", "--halfwidth", halfwidth, "--cands-per-anchor", str(per_anchor),
+            "--n", str(picks)]
+    if draw(st.booleans()):
+        argv.append("--include-anchors")
+    if not unit or draw(st.booleans()):
+        # --flag=text, so that a bound starting with a minus is not read as a flag.
+        argv += [f"--lower={_bound_text(lo)}", f"--upper={_bound_text(hi)}"]
+    if draw(st.integers(0, 7)):
+        argv += ["--seed", str(draw(st.integers(0, 2**32 - 1)))]
+    return argv, rows, (lo, hi), picks
+
+
+class TestAppendRegionContract:
+    """Any append-region run within the size bounds exits 0, 1 or 2, fails
+    with exactly one spacefill: line and no warning, and reruns byte for
+    byte.  On success it writes the anchor rows first, byte for byte, then
+    --n distinct rows inside the box."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(append_region_runs())
+    def test_contract(self, case):
+        argv, rows, (lo, hi), picks = case
+        lines = [format_row(r) + "\n" for r in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "anchors.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write("".join(lines))
+            argv = [*argv, "--anchors", path]
+            code, out, err, caught = _generate(argv)
+            assert _generate(argv)[:3] == (code, out, err)
+        assert code in (0, 1, 2) and caught == []
+        if code:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("spacefill: ")
+            return
+        assert err == ""
+        header, *body = out.splitlines(keepends=True)
+        assert header == ",".join(f"x{j}" for j in range(rows.shape[1])) + "\n"
+        assert body[:len(rows)] == lines and len(body) == len(rows) + picks
+        added = np.array([[float(v) for v in ln.split(",")] for ln in body[len(rows):]])
+        assert len(np.unique(added, axis=0)) == picks
+        assert np.all((added >= lo) & (added <= hi))
+
+
 class TestAppendRegion:
     def test_anchor_prefix_preserved(self, tmp_path, capsys):
         anchors = tmp_path / "anchors.csv"
@@ -1373,10 +1553,14 @@ class TestAppendRegion:
 
     @pytest.mark.parametrize("flags,message", [
         (["--upper", "0.5,0.5"], "all points must lie inside the domain box"),
-        (["--halfwidth", "0"], "half_width_fraction must be positive"),
+        (["--halfwidth", "0"], "--halfwidth must be positive"),
         (["--n", "7"], "n must be in [1, 6] (anchors x candidates per anchor)"),
         (["--halfwidth", "1e-300"], "degenerate domain: lower must be strictly below upper"),
-    ], ids=["outside-box", "zero-halfwidth", "n-too-large", "collapsed-box"])
+        (["--halfwidth", "-1"], "--halfwidth must be positive"),
+        (["--halfwidth", "nan"], "--halfwidth must be positive"),
+        (["--cands-per-anchor", "0"], "--cands-per-anchor must be >= 1"),
+    ], ids=["outside-box", "zero-halfwidth", "n-too-large", "collapsed-box", "negative-halfwidth",
+            "nan-halfwidth", "zero-cands-per-anchor"])
     def test_invalid_request_exit_2(self, tmp_path, capsys, flags, message):
         anchors = tmp_path / "anchors.csv"
         anchors.write_text("x0,x1\n0.25,0.75\n0.5,0.5\n")

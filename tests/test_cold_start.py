@@ -1,7 +1,7 @@
 """Cold start: ``import spacefill`` loads numpy only, and scipy loads at the
 first distance kernel call.  Commands that compute no distance never load
-it.  Each check runs in a fresh interpreter, since this process has loaded
-scipy long ago."""
+it, and the CSV writer builds its tables at its first write.  Each check
+runs in a fresh interpreter, since this process has loaded scipy long ago."""
 
 import subprocess
 import sys
@@ -67,6 +67,19 @@ def test_csv_command_loads_no_scipy(tmp_path, argv, written):
     assert out.exists()
     if written is not None:
         assert out.read_text().count("\n") == written
+
+
+def test_writer_tables_built_at_first_write():
+    """Importing the CLI builds none of the CSV writer's tables.  The first
+    write builds them, later writes reuse them, and writing loads no module."""
+    assert _run("import io\n"
+                "from spacefill import cli\n"
+                "built, loaded = cli._write_tables.cache_info().currsize, set(sys.modules)\n"
+                "for points in ([[1 / 3, -0.0]], [[2.0, 1e-300]]):\n"
+                "    cli.write_samples(cli.np.array(points), io.StringIO())\n"
+                "info = cli._write_tables.cache_info()\n"
+                "rc = built, info.currsize, info.misses, sorted(set(sys.modules) - loaded)") \
+        == "(0, 1, 1, []) False"
 
 
 def test_first_distance_call_loads_scipy():

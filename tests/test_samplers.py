@@ -300,6 +300,12 @@ class TestParamValues:
         ("stratified", None, {"bins": [3, 0]}, "'bins' of algorithm 'stratified' must be >= 1, got [3, 0]"),
         ("lhs-basic", 5, {"placement": "middle"},
          "'placement' of algorithm 'lhs-basic' must be 'random' or 'center', got 'middle'"),
+        # grid_sampling's shape and size rules, checked once the dimension is known.
+        ("grid", None, {"bins": [2, 2, 2]},
+         "'bins' of algorithm 'grid' must have 1 or 2 entries, got [2, 2, 2]"),
+        ("stratified", None, {"bins": 10 ** 4},
+         "'bins' of algorithm 'stratified' must make at most 10000000 cells, got 10000 "
+         "(100000000 cells)"),
     ])
     def test_generate_leaves_rng_untouched(self, algo, n, params, message):
         rng = RngState(9)
