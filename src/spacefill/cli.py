@@ -540,7 +540,8 @@ def cmd_generate(args) -> int:
     dim = args.dim if args.dim is not None else cfg.get("dim")
     if dim is None:
         raise CliError("--dim is required")
-    dim = int(dim)
+    if dim < 1:
+        raise CliError(f"{'--dim' if args.dim is not None else 'config dim'} must be >= 1")
     n = args.n if args.n is not None else cfg.get("n")
     if args.seed is None and "seed" in cfg:
         args.seed = cfg["seed"]
@@ -699,8 +700,9 @@ def render_scatter_svg(xy: np.ndarray, split: int) -> str:
     """Standalone 640-pixel SVG scatter; points before index ``split`` get
     the first color, the rest the second."""
     size, margin = 640, 40
-    lo = xy.min(axis=0)
-    hi = xy.max(axis=0)
+    # Scaled exactly by a power of two, only beyond 2^1000, so that no step below overflows.
+    xy = np.ldexp(xy, -max(0, int(np.frexp(np.abs(xy).max())[1]) - 1000))
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
     pad = 0.05 * span
     lo, span = lo - pad, span + 2 * pad

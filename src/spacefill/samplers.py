@@ -75,11 +75,13 @@ class GridMode(Enum):
 
 
 class _ParamError(ValueError):
-    """A config rule broken by the fields given as values; ``_checked`` renames them."""
+    """A config rule broken by the fields given as values, and a note that
+    follows the values; ``_checked`` renames the fields."""
 
-    def __init__(self, rule: str, **values):
-        super().__init__(f"{' + '.join(values)} {rule}, got {' + '.join(map(repr, values.values()))}")
-        self.rule, self.fields = rule, tuple(values)
+    def __init__(self, rule: str, note: str = "", **values):
+        super().__init__(f"{' + '.join(values)} {rule}, got "
+                         f"{' + '.join(map(repr, values.values()))}{note}")
+        self.rule, self.note, self.fields = rule, note, tuple(values)
 
 
 @dataclass(frozen=True)
@@ -338,8 +340,10 @@ def random_sampling(domain: Domain, n: int, rng: RngState) -> SampleSet:
     return SampleSet(domain, domain.from_unit(_draw_unit_batch(rng, domain, n)))
 
 
-def _bin_counts(bins_per_dim) -> list:
-    """The bin counts of a grid, one or one per dimension, each >= 1."""
+def _bin_counts(bins_per_dim, dim: Optional[int] = None) -> list:
+    """The bin counts of a grid, one or one per dimension, each >= 1.  Given
+    the dimension, one count per dimension, once the counts fit it and make
+    at most MAX_GRID_CELLS cells."""
     # Entries stay Python objects until the cap check, so a whole number
     # beyond int64 is counted, not mistaken for a non-integer.
     entries = np.asarray(bins_per_dim, dtype=object).reshape(-1)
@@ -347,27 +351,30 @@ def _bin_counts(bins_per_dim) -> list:
         raise ValueError(f"bins_per_dim entries must be integers, got {bins_per_dim!r}")
     if any(b < 1 for b in entries):
         raise _ParamError("must be >= 1", bins_per_dim=bins_per_dim)
-    return [int(b) for b in entries]
+    counts = [int(b) for b in entries]
+    if dim is None:
+        return counts
+    if len(counts) not in (1, dim):
+        raise _ParamError("must have 1 entry" if dim == 1 else f"must have 1 or {dim} entries",
+                          bins_per_dim=bins_per_dim)
+    counts = counts * dim if len(counts) == 1 else counts
+    n_cells = math.prod(counts)
+    if n_cells > MAX_GRID_CELLS:
+        raise _ParamError(f"must make at most {MAX_GRID_CELLS} cells", f" ({n_cells} cells)",
+                          bins_per_dim=bins_per_dim)
+    return counts
 
 
 def grid_sampling(domain: Domain, bins_per_dim, mode: GridMode, rng: RngState) -> SampleSet:
     """One point per cell of a regular grid: cell centers (CORNERS mode) or
     one uniform point per cell (STRATIFIED_RANDOM).  N = prod(bins)."""
-    counts = _bin_counts(bins_per_dim)
-    if len(counts) == 1:
-        counts *= domain.dim
-    if len(counts) != domain.dim:
-        raise ValueError(f"bins_per_dim must have length {domain.dim}")
-    n_cells = math.prod(counts)
-    if n_cells > MAX_GRID_CELLS:
-        raise ValueError(f"grid of {n_cells} cells exceeds the maximum {MAX_GRID_CELLS}")
-    bins = np.array(counts)
+    bins = np.array(_bin_counts(bins_per_dim, domain.dim))
     # Cell order is row-major: the last dimension varies fastest.
     idx = np.indices(tuple(bins)).reshape(domain.dim, -1).T.astype(float)
     if mode is GridMode.CORNERS:
         offsets = 0.5
     elif mode is GridMode.STRATIFIED_RANDOM:
-        offsets = rng.random((n_cells, domain.dim))
+        offsets = rng.random(idx.shape)
     else:
         raise ValueError(f"unknown grid mode {mode!r}")
     unit = (idx + offsets) / bins
@@ -393,18 +400,11 @@ def _place_in_bin(k, t, n):
 
 def _lhs_unit(rng: RngState, n: int, dim: int, placement: BinPlacement) -> np.ndarray:
     """Unit-cube Latin hypercube draw: per dimension, a random permutation of
-    the n bins, then one value per bin."""
-    perms = np.empty((n, dim), dtype=int)
-    for j in range(dim):
-        perms[:, j] = rng.permutation(n)
-    x = np.empty((n, dim))
-    for j in range(dim):
-        if placement is BinPlacement.RANDOM_IN_BIN:
-            t = rng.random(n)
-        else:
-            t = np.full(n, 0.5)
-        x[:, j] = _place_in_bin(perms[:, j], t, n)
-    return x
+    the n bins, then one value per bin, every dimension's in-bin offsets in
+    one draw of (dim, n) values."""
+    perms = np.stack([rng.permutation(n) for _ in range(dim)], axis=1)
+    t = rng.random((dim, n)).T if placement is BinPlacement.RANDOM_IN_BIN else 0.5
+    return _place_in_bin(perms, t, n)
 
 
 def lhs_basic(domain: Domain, n: int, rng: RngState,
@@ -475,6 +475,24 @@ def lhs_maximin(domain: Domain, n: int, rng: RngState,
     return SampleSet(domain, domain.from_unit(best))
 
 
+def _latin_misplaced(u: np.ndarray):
+    """The Latin-bin test of an (n, d) array of unit coordinates.
+
+    Each column is sorted stably, so equal values rank by sample index, and
+    rank r's bin is [r/n, (r+1)/n), the last bin closed at 1.  Returns the
+    sort order and the misplaced entries as (dims, ranks), dimension by
+    dimension and, within a dimension, in ascending rank order.
+    """
+    n = len(u)
+    ranks = np.arange(n)[:, None]
+    order = np.argsort(u, axis=0, kind="stable")
+    v = np.take_along_axis(u, order, axis=0)
+    inside = (ranks / n <= v) & (v < (ranks + 1.0) / n)
+    inside[-1:] |= v[-1:] == 1.0  # the last bin is closed at 1
+    dims, moved = np.nonzero(~inside.T)
+    return order, dims, moved
+
+
 def latinize(sample_set: SampleSet, rng: RngState) -> SampleSet:
     """Give an arbitrary set the Latin property by rank-ordering each
     dimension and shifting only the values that sit outside their rank's bin.
@@ -490,34 +508,18 @@ def latinize(sample_set: SampleSet, rng: RngState) -> SampleSet:
     if n < 1:
         raise ValueError("latinize requires at least 1 point")
     dom = sample_set.domain
-    u = dom.to_unit(sample_set.points)
     new_pts = sample_set.points.copy()
-    ranks = np.arange(n)
-    lo = (ranks / n)[:, None]
-    hi = ((ranks + 1.0) / n)[:, None]
-    order = np.argsort(u, axis=0, kind="stable")
-    v = np.take_along_axis(u, order, axis=0)
-    inside = (lo <= v) & (v < hi)
-    inside[-1] |= v[-1] == 1.0  # the last bin is closed at 1
-    # Dimension-major, ascending rank: the documented draw order.  One draw
-    # of k values consumes the stream exactly like k scalar draws.
-    dims, moved = np.nonzero(~inside.T)
+    order, dims, moved = _latin_misplaced(dom.to_unit(sample_set.points))
+    # One draw of k values consumes the stream exactly like k scalar draws.
     nv = _place_in_bin(moved, rng.random(moved.size), n)
     new_pts[order[moved, dims], dims] = dom.lower[dims] + nv * (dom.upper[dims] - dom.lower[dims])
     return SampleSet(dom, new_pts)
 
 
 def latin_property_holds(sample_set: SampleSet) -> bool:
-    """Exact one-value-per-bin check with half-open bins (last bin closed)."""
-    n = len(sample_set)
-    u = sample_set.domain.to_unit(sample_set.points)
-    edges = np.arange(n + 1) / n
-    for j in range(sample_set.dim):
-        bins = np.searchsorted(edges, u[:, j], side="right") - 1
-        bins = np.minimum(bins, n - 1)  # closes the last bin at 1.0
-        if not np.array_equal(np.sort(bins), np.arange(n)):
-            return False
-    return True
+    """Exact one-value-per-bin check with half-open bins (last bin closed):
+    true exactly when ``latinize`` would move no value."""
+    return not _latin_misplaced(sample_set.domain.to_unit(sample_set.points))[1].size
 
 
 # ---------------------------------------------------------------------------
@@ -932,22 +934,16 @@ def _checked(algorithm: str, params, n, domain: Optional[Domain] = None, existin
         raise ValueError(f"algorithm {algorithm!r} does not support existing points")
     if domain is not None and domain.viability is not None and algorithm not in _VIABLE:
         raise ValueError(f"algorithm {algorithm!r} does not support a viability predicate")
+    values = {field: merged[key] for key, (_, field) in spec.items()}
+    if domain is not None and build is _bin_counts:
+        values["dim"] = domain.dim  # grid_sampling's shape and size rules
     try:
-        config = build(**{field: merged[key] for key, (_, field) in spec.items()})
+        config = build(**values)
     except _ParamError as err:
         keys = [key for field in err.fields for key, (_, f) in spec.items() if f == field]
         raise ValueError(f"parameter {' + '.join(map(repr, keys))} of algorithm {algorithm!r} "
-                         f"{err.rule}, got {' + '.join(repr(merged[k]) for k in keys)}") from None
-    if domain is not None and build is _bin_counts:
-        # grid_sampling's own shape and size rules, named by the parameter.
-        name, bins = f"parameter 'bins' of algorithm {algorithm!r}", merged["bins"]
-        if len(config) not in (1, domain.dim):
-            entries = "1 entry" if domain.dim == 1 else f"1 or {domain.dim} entries"
-            raise ValueError(f"{name} must have {entries}, got {bins!r}")
-        n_cells = math.prod(config * domain.dim if len(config) == 1 else config)
-        if n_cells > MAX_GRID_CELLS:
-            raise ValueError(f"{name} must make at most {MAX_GRID_CELLS} cells, "
-                             f"got {bins!r} ({n_cells} cells)")
+                         f"{err.rule}, got {' + '.join(repr(merged[k]) for k in keys)}"
+                         f"{err.note}") from None
     return config
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from spacefill.core import (Domain, RegionTooSmallError, RngState, SampleSet, SamplingError,
                             squared_distance_matrix)
-from spacefill.samplers import _lhs_unit, _place_in_bin
+from spacefill.samplers import BinPlacement, _place_in_bin
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -170,6 +170,38 @@ def brute_latinize(sample_set, rng):
     return SampleSet(dom, new_pts)
 
 
+def loop_lhs_unit(rng, n, dim, placement):
+    """Unit-cube Latin hypercube draw, one dimension at a time: a
+    permutation of the n bins per dimension, then per dimension one in-bin
+    offset draw of n values (none for bin centers)."""
+    perms = np.empty((n, dim), dtype=int)
+    for j in range(dim):
+        perms[:, j] = rng.permutation(n)
+    x = np.empty((n, dim))
+    for j in range(dim):
+        if placement is BinPlacement.RANDOM_IN_BIN:
+            t = rng.random(n)
+        else:
+            t = np.full(n, 0.5)
+        x[:, j] = _place_in_bin(perms[:, j], t, n)
+    return x
+
+
+def searchsorted_latin_property_holds(sample_set):
+    """The Latin property by bin search: per dimension, each unit value's
+    bin among the edges k/n (the last bin closed at 1.0), and the sorted
+    bins must be 0, 1, ..., n - 1."""
+    n = len(sample_set)
+    u = sample_set.domain.to_unit(sample_set.points)
+    edges = np.arange(n + 1) / n
+    for j in range(sample_set.dim):
+        bins = np.searchsorted(edges, u[:, j], side="right") - 1
+        bins = np.minimum(bins, n - 1)
+        if not np.array_equal(np.sort(bins), np.arange(n)):
+            return False
+    return True
+
+
 def brute_lhs_maximin(domain, n, rng, config, trace=None):
     """Maximin LHS that rebuilds the full squared-distance matrix on every
     attempted interchange.  Returns (sample set, tie count), where the tie
@@ -178,7 +210,7 @@ def brute_lhs_maximin(domain, n, rng, config, trace=None):
     a rebuild can reject them."""
     best, best_min, ties = None, -math.inf, 0
     for t in range(config.n_tries):
-        x = _lhs_unit(rng, n, domain.dim, config.bin_placement)
+        x = loop_lhs_unit(rng, n, domain.dim, config.bin_placement)
         d2 = squared_distance_matrix(x)
         np.fill_diagonal(d2, np.inf)
         i1, i2 = divmod(int(np.argmin(d2)), n)

@@ -10,6 +10,7 @@ import re
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +103,12 @@ class TestGenerate:
                                "--n", "5", "--seed", "1", "--params", "bogus=3")
         assert (code, err) == (2, "spacefill: unknown parameter 'bogus' for algorithm 'bc'\n")
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dim_below_1_exit_2(self, capsys, dim):
+        code, out, err = run_out(capsys, "generate", "--algo", "random", "--dim", dim,
+                                 "--n", "5", "--seed", "1")
+        assert (code, out, err) == (2, "", "spacefill: --dim must be >= 1\n")
+
     def test_degenerate_box_exit_2(self, capsys):
         code, _, err = run_out(capsys, "generate", "--algo", "random", "--dim", "2",
                                "--n", "5", "--seed", "1", "--lower=0,1", "--upper=1,1")
@@ -147,7 +154,8 @@ class TestGenerate:
         ({"n": [3]}, "config n must be an integer"),
         ({"algorithm": "bc", "params": {"ncand": [5]}},
          "parameter 'ncand' of algorithm 'bc' must be an integer, got [5]"),
-    ], ids=["lower", "params", "n", "param-value"])
+        ({"dim": 0}, "config dim must be >= 1"),
+    ], ids=["lower", "params", "n", "param-value", "dim"])
     def test_config_value_type_exit_2(self, tmp_path, capsys, entry, message):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"algorithm": "random", "dim": 2, "n": 3, "seed": 1, **entry}))
@@ -258,7 +266,8 @@ class TestParamValues:
     @pytest.mark.parametrize("bins, message", [
         ([2, 2, 2], "must have 1 or 2 entries, got [2, 2, 2]"),
         ([5000, 5000], "must make at most 10000000 cells, got [5000, 5000] (25000000 cells)"),
-    ], ids=["length", "cells"])
+        (10 ** 30, f"must make at most 10000000 cells, got {10 ** 30} ({10 ** 60} cells)"),
+    ], ids=["length", "cells", "cells-beyond-int64"])
     def test_config_bins_exit_2(self, tmp_path, capsys, bins, message):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"algorithm": "grid", "dim": 2, "seed": 1,
@@ -347,6 +356,64 @@ class TestGenerateContract:
             assert len(pts) >= 1 if rows is None else len(pts) == rows
             assert np.all((pts >= lo) & (pts <= hi))
         assert _generate(argv)[:3] == (code, out, err)
+
+
+@st.composite
+def latinize_runs(draw):
+    """generate --latinize argv over every algorithm id with no viability,
+    d <= 4, at most 50 rows and a few bins, and the rows an exit 0 must
+    write (None: at least one) and their box."""
+    algo = draw(st.sampled_from(samplers.ALGORITHMS))
+    d = draw(st.integers(1, 4))
+    defaults = samplers.TABLE_DEFAULTS[algo]
+    keys = set(draw(st.lists(st.sampled_from(sorted(defaults)), max_size=2, unique=True))
+               if defaults else [])
+    keys |= {"cvt": {"niter", "ppi"}, "poisson": {"r"}}.get(algo, set())
+    params = {k: draw(st.sampled_from(_GOOD_VALUES[k])) for k in sorted(keys)}
+    if "r" in params:  # a radius that keeps the count small in 4D
+        params["r"] = draw(st.sampled_from(["0.5", "0.9"]))
+    if algo in ("grid", "stratified"):
+        params["bins"] = draw(st.sampled_from(["1", "2", "3"] if d < 4 else ["1", "2"]))
+    box = draw(st.sampled_from([(0.0, 1.0), (-1.0, 2.0)]))
+    argv = ["generate", "--algo", algo, "--dim", str(d), "--latinize",
+            "--seed", str(draw(st.integers(0, 2**32 - 1))),
+            "--lower", str(box[0]), "--upper", str(box[1])]
+    if params:
+        argv += ["--params", ",".join(f"{k}={v}" for k, v in params.items())]
+    # gauss-center is slow to draw from in a large box.
+    if box == (0.0, 1.0) and draw(st.integers(0, 3)) == 0:
+        argv += ["--density", "gauss-center"]
+    if algo in ("grid", "stratified"):
+        rows = int(params["bins"]) ** d
+    elif algo == "poisson":
+        rows = None
+    else:
+        rows = draw(st.integers(1, 50))
+        argv += ["--n", str(rows)]
+    return argv, rows, box
+
+
+class TestLatinizeContract:
+    """Any generate --latinize run within the size bounds exits 0, 1 or 2,
+    fails with exactly one spacefill: line and nothing on stdout, and reruns
+    byte for byte; on success its rows have the Latin property in the box,
+    by the independent reference check."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(latinize_runs())
+    def test_contract(self, run_spec):
+        argv, rows, (lo, hi) = run_spec
+        code, out, err, caught = _generate(argv)
+        assert _generate(argv)[:3] == (code, out, err)
+        assert code in (0, 1, 2)
+        assert [m for m in caught if not _PPI_WARNING.fullmatch(m)] == []
+        if code:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("spacefill: ")
+            return
+        pts = np.array([[float(v) for v in ln.split(",")] for ln in out.splitlines()[1:]])
+        assert len(pts) >= 1 if rows is None else len(pts) == rows
+        # The unit coordinates the library tests, computed the same way.
+        assert_latin((pts - lo) / (hi - lo))
 
 
 # Config values of every JSON type, the NaN and Infinity literals among them.
@@ -733,8 +800,8 @@ class TestPiping:
     @pytest.mark.parametrize("n", [1023, 1024, 1025])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_write_matches_per_row_reference(self, n, order):
-        """A block of rows formatted by one % call gives the bytes of "%.17g"
-        row by row, across the 1,024-row block boundary."""
+        """The writer's bytes are those of "%.17g" on each value, across the
+        1,024-row block boundary."""
         pts = np.random.default_rng(n).standard_normal((n, 3)) * 10.0 ** np.arange(-150, 150, 100)
         pts[0] = [-0.0, 5e-324, 1 / 3]
         pts = np.asarray(pts, order=order)
@@ -1800,6 +1867,61 @@ class TestPlot:
         code, _, _ = run_out(capsys, "plot", "--in", str(src), "--out",
                              str(tmp_path / "x.svg"))
         assert code == 2
+
+
+@st.composite
+def plot_runs(draw):
+    """plot rows (n <= 50, d <= 4) of any scale, up to float64's range, and
+    argv with any --dims text and any --split integer, or none."""
+    n, d = draw(st.integers(1, 50)), draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([0.0, 1e-300, 1e-6, 1.0, 1e6, 1e305, 1.7e308]))
+    u = RngState(draw(st.integers(0, 2**32 - 1))).random((n, d))
+    rows = (2.0 * u - 1.0) * scale if draw(st.booleans()) else u * scale
+    # One --dims in four is any text, and one --split in four any integer.
+    if draw(st.integers(0, 3)) < 3:
+        pairs = [(i, j) for i in range(d) for j in range(d) if i != j] + [(0, 0), (-1, 0), (0, d)]
+        dims = "%d,%d" % draw(st.sampled_from(pairs))
+    else:
+        dims = draw(st.text(max_size=6))
+    argv = ["plot", f"--dims={dims}"]
+    split = draw(st.integers(0, n) if draw(st.integers(0, 3)) < 3 else
+                 st.one_of(st.none(), st.integers(-1, n + 1), st.integers()))
+    if split is not None:
+        argv.append(f"--split={split}")
+    return argv, rows, n if split is None else split
+
+
+class TestPlotContract:
+    """Any plot run within the size bounds exits 0 or 2, fails with exactly
+    one spacefill: line, no output and no warning, and reruns byte for byte.
+    On success the SVG holds one circle per row, the first --split of them
+    black and the rest red."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(plot_runs())
+    def test_contract(self, case):
+        argv, rows, split = case
+
+        def svg_bytes(argv):
+            """The exit code, stdout, stderr and warnings of a run, and the
+            SVG it wrote (None: none)."""
+            with tempfile.TemporaryDirectory() as tmp:
+                path, svg = Path(tmp, "in.csv"), Path(tmp, "out.svg")
+                path.write_text("".join(format_row(r) + "\n" for r in rows), newline="")
+                got = _generate([*argv, "--in", str(path), "--out", str(svg)])
+                return *got, svg.read_bytes() if svg.exists() else None
+
+        code, out, err, caught, text = svg_bytes(argv)
+        again = svg_bytes(argv)
+        assert again[:3] + again[4:] == (code, out, err, text)
+        assert code in (0, 2) and caught == [] and out == ""
+        if code:
+            assert len(err.splitlines()) == 1 and err.startswith("spacefill: ")
+            assert text is None
+            return
+        assert err == ""
+        colors = re.findall(rb'<circle [^>]*fill="(#[0-9a-f]{6})"/>', text)
+        assert colors == [b"#000000"] * split + [b"#d62728"] * (len(rows) - split)
 
 
 class TestUsageErrors:

@@ -25,7 +25,8 @@ from spacefill.samplers import (
 )
 
 from conftest import (assert_latin, brute_draw_unit_batch, brute_draw_unit_density,
-                      brute_latinize, brute_lhs_maximin, brute_poisson_disk, child_peak_rss_kib)
+                      brute_latinize, brute_lhs_maximin, brute_poisson_disk, child_peak_rss_kib,
+                      loop_lhs_unit, searchsorted_latin_property_holds)
 
 
 @st.composite
@@ -337,6 +338,20 @@ class TestParamValues:
             sf.grid_sampling(Domain.unit(2), bins, GridMode.STRATIFIED_RANDOM, rng)
         assert rng.random() == RngState(9).random()
 
+    @pytest.mark.parametrize("dim,bins,message", [
+        (2, [2, 2, 2], "must have 1 or 2 entries, got [2, 2, 2]"),
+        (1, [2, 2], "must have 1 entry, got [2, 2]"),
+        (2, [5000, 5000], "must make at most 10000000 cells, got [5000, 5000] (25000000 cells)"),
+        (4, 100, "must make at most 10000000 cells, got 100 (100000000 cells)"),
+        (2, [3, 0], "must be >= 1, got [3, 0]"),
+    ])
+    def test_grid_bins_faults_leave_rng_untouched(self, dim, bins, message):
+        """grid_sampling states generate's grid rules, named by its parameter."""
+        rng = RngState(9)
+        with pytest.raises(ValueError, match="^bins_per_dim " + re.escape(message) + "$"):
+            sf.grid_sampling(Domain.unit(dim), bins, GridMode.STRATIFIED_RANDOM, rng)
+        assert rng.random() == RngState(9).random()
+
     @pytest.mark.parametrize("make", [
         lambda: PoissonConfig(radius=math.inf),
         lambda: PoissonConfig(radius=math.nan),
@@ -439,6 +454,19 @@ class TestLhsBasic:
         d = Domain([10.0], [20.0])
         s = sf.lhs_basic(d, 5, RngState(9))
         assert np.all((10 <= s.points) & (s.points < 20))
+
+    @pytest.mark.parametrize("placement", list(BinPlacement))
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_matches_per_dimension_loop(self, n, placement):
+        """One offset draw for every dimension gives the points and the
+        stream position of one draw per dimension."""
+        for d, seed in itertools.product(range(1, 7), range(4)):
+            rng, ref_rng = RngState(seed), RngState(seed)
+            out = samplers._lhs_unit(rng, n, d, placement)
+            ref = loop_lhs_unit(ref_rng, n, d, placement)
+            assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+            assert out.flags.c_contiguous
+            assert rng.random() == ref_rng.random()
 
 
 class TestLhsMaximin:
@@ -558,6 +586,39 @@ class TestLatinPropertyHolds:
     @pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
     def test_single_point(self, unit2, v):
         assert sf.latin_property_holds(SampleSet(unit2, [[v, 1.0 - v]]))
+
+    def test_empty_set(self, unit2):
+        assert sf.latin_property_holds(SampleSet(unit2, np.empty((0, 2))))
+
+    def test_matches_bin_search_and_latinize(self):
+        """On sets whose values sit at bin edges k/n, one ulp either side of
+        one, inside a bin or at 1.0, with ties: the rank test agrees with a
+        search among the edges, and holds exactly when latinize draws
+        nothing."""
+        rs = np.random.default_rng(26)
+        first = RngState(1).random()
+        answers = []
+        for _ in range(10_000):
+            n, d = int(rs.integers(1, 13)), int(rs.integers(1, 4))
+            k = np.argsort(rs.random((n, d)), axis=0)  # a permutation of the bins per column
+            lo, hi = k / n, (k + 1.0) / n
+            values = [lo, np.nextafter(lo, 1.0), lo + rs.random((n, d)) * (hi - lo),
+                      np.nextafter(hi, 0.0), np.nextafter(lo, 0.0), hi, np.ones((n, d))]
+            miss = rs.choice([0.0, 0.02, 0.1, 0.3])
+            pick = rs.choice(len(values), size=(n, d),
+                             p=[(1 - miss) / 4] * 4 + [miss * 0.4, miss * 0.4, miss * 0.2])
+            u = np.clip(np.choose(pick, values), 0.0, 1.0)
+            if n > 1 and rs.random() < 0.2:  # a tie
+                j = rs.integers(d)
+                u[rs.integers(n), j] = u[rs.integers(n), j]
+            s = SampleSet(Domain.unit(d), u)
+            holds = sf.latin_property_holds(s)
+            assert holds == searchsorted_latin_property_holds(s)
+            rng = RngState(1)
+            sf.latinize(s, rng)
+            assert holds == (rng.random() == first)
+            answers.append(holds)
+        assert 2_000 < sum(answers) < 8_000
 
 
 class TestCvt:
